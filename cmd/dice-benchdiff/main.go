@@ -11,10 +11,9 @@
 //	dice-benchdiff -mode timing  -baseline BENCH_timing.json  -fresh /tmp/fresh.json [-tolerance 0.15]
 //	dice-benchdiff -mode scenarios -baseline BENCH_scenarios.json -fresh /tmp/fresh.json [-tolerance 0.15]
 //
-// A baseline that does not exist yet is not a failure: a benchmark
-// introduced in the same change has a fresh file but no committed
-// baseline, so the gate prints a notice and passes (the next commit of
-// the fresh file becomes the baseline). A missing fresh file still fails.
+// A missing baseline or fresh file fails the gate: a gate that cannot
+// compare must not pass silently. A benchmark introduced in a change
+// commits its first baseline in that same change.
 //
 // Raw events/sec depends on the machine, so the gate compares
 // machine-normalized ratios that cancel hardware speed out of the
@@ -141,11 +140,8 @@ func run(mode, baseline, fresh string, tolerance float64) error {
 	if _, err := os.Stat(fresh); err != nil {
 		return fmt.Errorf("fresh benchmark missing: %w", err)
 	}
-	if _, err := os.Stat(baseline); os.IsNotExist(err) {
-		// A benchmark introduced in this change has no committed baseline
-		// yet; committing the fresh file creates one for the next run.
-		fmt.Printf("%s perf gate: no baseline at %s yet, skipping comparison (commit the fresh file to create one)\n", mode, baseline)
-		return nil
+	if _, err := os.Stat(baseline); err != nil {
+		return fmt.Errorf("baseline missing: %w", err)
 	}
 	switch mode {
 	case "hub":

@@ -173,13 +173,6 @@ const (
 	FamilyGhost       = core.FamilyGhost
 )
 
-// Context payload schema versions: v1 files predate interval sketches and
-// load as timing-incapable; v2 carries them (Context.TimingCapable).
-const (
-	ContextSchemaV1 = core.ContextSchemaV1
-	ContextSchemaV2 = core.ContextSchemaV2
-)
-
 // DefaultChecks returns the built-in check pipeline in evaluation order:
 // ghost, correlation, G2G, G2A, A2G, timing. Pass a reordered or filtered
 // slice to WithChecks to reshape the pipeline.
@@ -220,8 +213,8 @@ func NewTelemetry() *Telemetry { return telemetry.NewRegistry() }
 
 // Detector options, re-exported from internal/core. WithChecks replaces the
 // check pipeline; WithTiming, WithTimingBand, WithTimingQuantiles, and
-// WithTimingFlagFast tune the timing check (it runs only against contexts
-// whose payload carries interval sketches — Context.TimingCapable).
+// WithTimingFlagFast tune the timing check, which reads the interval
+// sketches every context carries.
 var (
 	WithConfig            = core.WithConfig
 	WithDuration          = core.WithDuration
@@ -237,15 +230,17 @@ var (
 	WithTimingFlagFast    = core.WithTimingFlagFast
 )
 
-// LoadContext reads a context saved with Context.Save and binds it to the
-// layout. Both the checksummed DICECKS1 envelope and the legacy plain-JSON
-// form load; integrity failures surface as ErrCorruptContext.
+// LoadContext reads a context saved with Context.Save — one format: a
+// checksummed DICECKS1 envelope around a schema-2 payload carrying the
+// chains and their interval sketches — and binds it to the layout. Input
+// that is not an intact envelope surfaces as ErrCorruptContext; a payload
+// of any other schema is rejected.
 func LoadContext(r io.Reader, layout *Layout) (*Context, error) {
 	return core.LoadContext(r, layout)
 }
 
-// ErrCorruptContext marks a saved context that failed its checksum or
-// fingerprint verification.
+// ErrCorruptContext marks a saved context that is not an intact envelope
+// or failed its fingerprint verification.
 var ErrCorruptContext = core.ErrCorruptContext
 
 // NewContextBuilder starts an empty epoch-0 context (Trainer does this for

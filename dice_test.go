@@ -101,7 +101,7 @@ func TestFacadeContextPersistence(t *testing.T) {
 	}
 }
 
-// The timing surface re-exported through the facade: schema-v2 contexts
+// The timing surface re-exported through the facade: trained contexts
 // carry interval sketches through a save/load round trip, the check
 // pipeline is inspectable and replaceable, and the timing cause belongs to
 // its own family.
@@ -115,9 +115,8 @@ func TestFacadeTimingSurface(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !ctx.TimingCapable() || ctx.SchemaVersion() != ContextSchemaV2 {
-		t.Fatalf("trained context: capable=%v schema=%d, want capable v%d",
-			ctx.TimingCapable(), ctx.SchemaVersion(), ContextSchemaV2)
+	if ctx.G2GGaps().Len() == 0 {
+		t.Fatal("trained context recorded no G2G interval sketches")
 	}
 	var buf bytes.Buffer
 	if err := ctx.Save(&buf); err != nil {
@@ -127,8 +126,9 @@ func TestFacadeTimingSurface(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !loaded.TimingCapable() {
-		t.Error("timing capability lost across save/load")
+	if loaded.G2GGaps().Len() != ctx.G2GGaps().Len() || loaded.Fingerprint() != ctx.Fingerprint() {
+		t.Errorf("interval sketches changed across save/load: %d -> %d sketches, fingerprint %s -> %s",
+			ctx.G2GGaps().Len(), loaded.G2GGaps().Len(), ctx.Fingerprint(), loaded.Fingerprint())
 	}
 
 	checks := DefaultChecks()

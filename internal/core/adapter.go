@@ -59,7 +59,7 @@ type Adapter struct {
 
 	// dwell and lastFire mirror the trainer's gap bookkeeping so clean
 	// windows reinforce the interval sketches with the same gaps a
-	// retraining would record. No-ops against v1 (sketch-less) contexts.
+	// retraining would record.
 	dwell    int
 	lastFire []int
 

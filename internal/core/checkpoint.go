@@ -17,18 +17,12 @@ type DetectorState struct {
 	PrevGroup  int               `json:"prev_group"`
 	PrevActs   []device.ID       `json:"prev_acts,omitempty"`
 	RecentActs map[device.ID]int `json:"recent_acts,omitempty"`
-	// Episode is the legacy single-episode field (pre-multi-fault
-	// checkpoints). Writers populate it with the first open episode so old
-	// readers keep working; readers prefer Episodes when present.
-	Episode *EpisodeState `json:"episode,omitempty"`
 	// Episodes carries every open identification episode in opening order
 	// (more than one only with MaxFaults > 1).
 	Episodes []*EpisodeState `json:"episodes,omitempty"`
 	// Dwell and LastFires carry the timing check's gap bookkeeping (the
 	// consecutive windows spent in PrevGroup, and each actuator slot's most
-	// recent firing window). Absent in pre-timing checkpoints, which restore
-	// with the timing state cold (dwell 0, no firings) — structurally
-	// identical to a fresh segment start.
+	// recent firing window). Both are omitted while zero/empty.
 	Dwell     int         `json:"dwell,omitempty"`
 	LastFires map[int]int `json:"last_fires,omitempty"`
 }
@@ -42,9 +36,7 @@ type EpisodeState struct {
 	Stalls         int         `json:"stalls"`
 	NormalStreak   int         `json:"normal_streak"`
 	Length         int         `json:"length"`
-	// Corroboration counts the informative windows that fed the episode;
-	// absent in pre-multi-fault checkpoints, which restore as if the
-	// opening window were the only evidence so far.
+	// Corroboration counts the informative windows that fed the episode.
 	Corroboration int         `json:"corroboration,omitempty"`
 	MissingEffect bool        `json:"missing_effect,omitempty"`
 	SurplusEffect bool        `json:"surplus_effect,omitempty"`
@@ -53,7 +45,7 @@ type EpisodeState struct {
 	FiredActs     []device.ID `json:"fired_acts,omitempty"`
 	// Trace carries the episode's decision trace across restarts, so an
 	// alert concluded after a restore explains itself identically to one
-	// from an uninterrupted run. Absent in pre-trace checkpoints.
+	// from an uninterrupted run.
 	Trace *Explain `json:"trace,omitempty"`
 }
 
@@ -78,10 +70,6 @@ func exportEpisode(ep *episode) *EpisodeState {
 
 // restoreEpisode rebuilds one episode from its snapshot.
 func restoreEpisode(eps *EpisodeState) *episode {
-	corr := eps.Corroboration
-	if corr == 0 {
-		corr = 1
-	}
 	return &episode{
 		cause:          eps.Cause,
 		detectedWindow: eps.DetectedWindow,
@@ -89,7 +77,7 @@ func restoreEpisode(eps *EpisodeState) *episode {
 		stalls:         eps.Stalls,
 		normalStreak:   eps.NormalStreak,
 		length:         eps.Length,
-		corroboration:  corr,
+		corroboration:  eps.Corroboration,
 		missingEffect:  eps.MissingEffect,
 		surplusEffect:  eps.SurplusEffect,
 		openingActs:    toSet(eps.OpeningActs),
@@ -125,10 +113,6 @@ func (d *Detector) ExportState() DetectorState {
 	for _, ep := range d.eps {
 		st.Episodes = append(st.Episodes, exportEpisode(ep))
 	}
-	if len(st.Episodes) > 0 {
-		// Mirror the first episode into the legacy field for old readers.
-		st.Episode = st.Episodes[0]
-	}
 	return st
 }
 
@@ -138,13 +122,12 @@ func (d *Detector) RestoreState(st DetectorState) error {
 	if err := d.checkGroupRef(st.PrevGroup); err != nil {
 		return fmt.Errorf("core: restore prev group: %w", err)
 	}
-	episodes := st.Episodes
-	if episodes == nil && st.Episode != nil {
-		episodes = []*EpisodeState{st.Episode}
-	}
-	for _, eps := range episodes {
+	for _, eps := range st.Episodes {
 		if err := d.checkGroupRef(eps.OpeningPrev); err != nil {
 			return fmt.Errorf("core: restore episode opening group: %w", err)
+		}
+		if eps.Trace == nil {
+			return fmt.Errorf("core: restore episode opened at window %d has no trace", eps.DetectedWindow)
 		}
 	}
 	for slot := range st.LastFires {
@@ -167,7 +150,7 @@ func (d *Detector) RestoreState(st DetectorState) error {
 		d.recentActs[id] = at
 	}
 	d.eps = nil
-	for _, eps := range episodes {
+	for _, eps := range st.Episodes {
 		d.eps = append(d.eps, restoreEpisode(eps))
 	}
 	return nil

@@ -130,9 +130,15 @@ func TestDetectorRestoreValidates(t *testing.T) {
 	}
 	if err := d.RestoreState(DetectorState{
 		PrevGroup: NoGroup,
-		Episode:   &EpisodeState{OpeningPrev: 9999},
+		Episodes:  []*EpisodeState{{OpeningPrev: 9999, Trace: &Explain{}}},
 	}); err == nil {
 		t.Error("out-of-range episode opening group accepted")
+	}
+	if err := d.RestoreState(DetectorState{
+		PrevGroup: NoGroup,
+		Episodes:  []*EpisodeState{{OpeningPrev: NoGroup}},
+	}); err == nil {
+		t.Error("episode without a trace accepted")
 	}
 	if err := d.RestoreState(DetectorState{PrevGroup: NoGroup}); err != nil {
 		t.Errorf("legal NoGroup state rejected: %v", err)

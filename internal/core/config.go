@@ -90,9 +90,7 @@ type Config struct {
 	// the episode is dismissed as a false alarm and detection resumes.
 	Attest func(devices []device.ID) []device.ID
 
-	// DisableTiming turns the interval-band timing check off even when the
-	// context carries sketches (schema v2). The check is also implicitly
-	// off against v1 contexts, which have no sketches to test against.
+	// DisableTiming turns the interval-band timing check off.
 	DisableTiming bool
 
 	// TimingMinSamples is the minimum number of recorded gaps an edge's

@@ -1,12 +1,9 @@
 package core
 
 import (
-	"bytes"
-	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"hash/fnv"
 	"io"
 	"math/bits"
@@ -16,6 +13,7 @@ import (
 	"repro/internal/bitvec"
 	"repro/internal/device"
 	"repro/internal/markov"
+	"repro/internal/wal"
 	"repro/internal/window"
 )
 
@@ -70,9 +68,7 @@ type Context struct {
 	a2g *markov.Chain // actuator slot -> group
 
 	// Interval sketches: per-edge inter-window gap histograms annotating
-	// the three chains with *pace* (schema v2). All three are nil on a
-	// structural-only (v1) context, which disables the timing check; the
-	// trainer always records them, so freshly trained contexts are v2.
+	// the three chains with *pace*, read by the timing check.
 	g2gGaps *markov.SketchSet // group -> group dwell before the hop
 	g2aGaps *markov.SketchSet // dwell in the group when the slot fires
 	a2gGaps *markov.SketchSet // windows since the slot's last firing
@@ -107,6 +103,9 @@ func newContext(layout *window.Layout, duration time.Duration, valueThre []float
 		g2g:          markov.NewChain(),
 		g2a:          markov.NewChain(),
 		a2g:          markov.NewChain(),
+		g2gGaps:      markov.NewSketchSet(),
+		g2aGaps:      markov.NewSketchSet(),
+		a2gGaps:      markov.NewSketchSet(),
 		effectCounts: make(map[int]map[device.ID]int64),
 		actCounts:    make(map[int]int64),
 	}, nil
@@ -116,24 +115,24 @@ func newContext(layout *window.Layout, duration time.Duration, valueThre []float
 // group vectors are immutable and shared.
 func (c *Context) clone() *Context {
 	out := &Context{
-		layout:      c.layout,
-		duration:    c.duration,
-		valueThre:   c.valueThre,
-		epoch:       c.epoch,
-		parent:      c.parent,
-		fingerprint: c.fingerprint,
-		groups:      append([]*bitvec.Vec(nil), c.groups...),
-		groupIDs:    make(map[string]int, len(c.groupIDs)),
-		scanWords:   c.scanWords,
-		matrix:      append([]uint64(nil), c.matrix...),
-		pops:        append([]int(nil), c.pops...),
-		popBuckets:  make([][]int, len(c.popBuckets)),
-		g2g:         c.g2g.Clone(),
-		g2a:         c.g2a.Clone(),
-		a2g:         c.a2g.Clone(),
-		g2gGaps:     c.g2gGaps.Clone(),
-		g2aGaps:     c.g2aGaps.Clone(),
-		a2gGaps:     c.a2gGaps.Clone(),
+		layout:       c.layout,
+		duration:     c.duration,
+		valueThre:    c.valueThre,
+		epoch:        c.epoch,
+		parent:       c.parent,
+		fingerprint:  c.fingerprint,
+		groups:       append([]*bitvec.Vec(nil), c.groups...),
+		groupIDs:     make(map[string]int, len(c.groupIDs)),
+		scanWords:    c.scanWords,
+		matrix:       append([]uint64(nil), c.matrix...),
+		pops:         append([]int(nil), c.pops...),
+		popBuckets:   make([][]int, len(c.popBuckets)),
+		g2g:          c.g2g.Clone(),
+		g2a:          c.g2a.Clone(),
+		a2g:          c.a2g.Clone(),
+		g2gGaps:      c.g2gGaps.Clone(),
+		g2aGaps:      c.g2aGaps.Clone(),
+		a2gGaps:      c.a2gGaps.Clone(),
 		effectCounts: make(map[int]map[device.ID]int64, len(c.effectCounts)),
 		actCounts:    make(map[int]int64, len(c.actCounts)),
 	}
@@ -159,8 +158,8 @@ func (c *Context) clone() *Context {
 // Layout returns the device layout.
 func (c *Context) Layout() *window.Layout { return c.layout }
 
-// Epoch returns the context's version number: 0 for a freshly trained (or
-// legacy-loaded) context, +1 per published adaptation.
+// Epoch returns the context's version number: 0 for a freshly trained
+// context, +1 per published adaptation.
 func (c *Context) Epoch() uint64 { return c.epoch }
 
 // Fingerprint returns the version's content hash (16 hex digits over the
@@ -236,39 +235,14 @@ func (c *Context) G2A() *markov.Chain { return c.g2a }
 // G2G.
 func (c *Context) A2G() *markov.Chain { return c.a2g }
 
-// ContextSchemaV1 and ContextSchemaV2 name the persisted context payload
-// versions: v1 carries only the structural chains; v2 adds the per-edge
-// interval sketches the timing check reads.
-const (
-	ContextSchemaV1 = 1
-	ContextSchemaV2 = 2
-)
-
-// TimingCapable reports whether the context carries interval sketches —
-// i.e. whether a detector scanning it can run the timing check. A context
-// loaded from a v1 save is not timing-capable; retraining (or deriving
-// from a v2 parent) is what upgrades it.
-func (c *Context) TimingCapable() bool {
-	return c.g2gGaps != nil && c.g2aGaps != nil && c.a2gGaps != nil
-}
-
-// SchemaVersion returns the payload schema the context would persist as:
-// ContextSchemaV2 when timing-capable, ContextSchemaV1 otherwise.
-func (c *Context) SchemaVersion() int {
-	if c.TimingCapable() {
-		return ContextSchemaV2
-	}
-	return ContextSchemaV1
-}
-
-// G2GGaps returns the G2G interval sketches (nil on a v1 context).
-// Read-only, as with the chains.
+// G2GGaps returns the G2G interval sketches. Read-only, as with the
+// chains.
 func (c *Context) G2GGaps() *markov.SketchSet { return c.g2gGaps }
 
-// G2AGaps returns the G2A interval sketches (nil on a v1 context).
+// G2AGaps returns the G2A interval sketches.
 func (c *Context) G2AGaps() *markov.SketchSet { return c.g2aGaps }
 
-// A2GGaps returns the A2G interval sketches (nil on a v1 context).
+// A2GGaps returns the A2G interval sketches.
 func (c *Context) A2GGaps() *markov.SketchSet { return c.a2gGaps }
 
 // observeEffect records that `devices` had state-set bits rise in the same
@@ -367,49 +341,17 @@ func (b *ContextBuilder) ObserveEffect(slot int, devices []device.ID) {
 	b.ctx.observeEffect(slot, devices)
 }
 
-// EnableTiming allocates the interval sketch sets, upgrading the context
-// under construction to schema v2. Idempotent; the trainer calls it, and a
-// builder derived from a v2 parent inherits the capability without it.
-func (b *ContextBuilder) EnableTiming() {
-	if b.ctx.g2gGaps == nil {
-		b.ctx.g2gGaps = markov.NewSketchSet()
-	}
-	if b.ctx.g2aGaps == nil {
-		b.ctx.g2aGaps = markov.NewSketchSet()
-	}
-	if b.ctx.a2gGaps == nil {
-		b.ctx.a2gGaps = markov.NewSketchSet()
-	}
-}
-
-// TimingCapable reports whether the context under construction carries
-// interval sketches.
-func (b *ContextBuilder) TimingCapable() bool { return b.ctx.TimingCapable() }
-
 // ObserveG2GGap records the dwell (consecutive windows spent in `from`)
-// preceding one observed from->to group hop. A no-op on a v1 builder, so a
-// derivation of a structural-only context stays structural-only.
-func (b *ContextBuilder) ObserveG2GGap(from, to, gap int) {
-	if b.ctx.g2gGaps != nil {
-		b.ctx.g2gGaps.Observe(from, to, gap)
-	}
-}
+// preceding one observed from->to group hop.
+func (b *ContextBuilder) ObserveG2GGap(from, to, gap int) { b.ctx.g2gGaps.Observe(from, to, gap) }
 
 // ObserveG2AGap records the dwell in group `from` at the moment actuator
-// slot `slot` fired. A no-op on a v1 builder.
-func (b *ContextBuilder) ObserveG2AGap(from, slot, gap int) {
-	if b.ctx.g2aGaps != nil {
-		b.ctx.g2aGaps.Observe(from, slot, gap)
-	}
-}
+// slot `slot` fired.
+func (b *ContextBuilder) ObserveG2AGap(from, slot, gap int) { b.ctx.g2aGaps.Observe(from, slot, gap) }
 
 // ObserveA2GGap records how many windows after actuator slot `slot` last
-// fired the home entered group `to`. A no-op on a v1 builder.
-func (b *ContextBuilder) ObserveA2GGap(slot, to, gap int) {
-	if b.ctx.a2gGaps != nil {
-		b.ctx.a2gGaps.Observe(slot, to, gap)
-	}
-}
+// fired the home entered group `to`.
+func (b *ContextBuilder) ObserveA2GGap(slot, to, gap int) { b.ctx.a2gGaps.Observe(slot, to, gap) }
 
 // DecayChains ages all three transition matrices by factor (see
 // markov.Chain.Decay), ages the interval sketches in lockstep, and returns
@@ -681,28 +623,24 @@ type contextJSON struct {
 	A2G         *markov.Chain               `json:"a2g"`
 	Effects     map[int]map[device.ID]int64 `json:"effects,omitempty"`
 	ActCounts   map[int]int64               `json:"act_counts,omitempty"`
-	// Schema and the interval sketches are the v2 additions. All four are
-	// omitempty so a v1 context still produces byte-identical payloads —
-	// and therefore the same fingerprint — as before the timing work.
+	// Schema is always contextSchema; a payload without it, or without any
+	// of the three sketch sets, does not load.
 	Schema  int               `json:"schema,omitempty"`
 	G2GGaps *markov.SketchSet `json:"g2g_gaps,omitempty"`
 	G2AGaps *markov.SketchSet `json:"g2a_gaps,omitempty"`
 	A2GGaps *markov.SketchSet `json:"a2g_gaps,omitempty"`
 }
 
-// ErrCorruptContext marks a saved context whose checksum envelope or
-// recorded fingerprint failed to verify — a torn write or bit rot, not a
-// schema problem. Callers that can retrain should treat it as "no context"
-// rather than restoring garbage.
+// contextSchema is the persisted payload version: structural chains plus
+// the per-edge interval sketches.
+const contextSchema = 2
+
+// ErrCorruptContext marks a saved context that is not an intact DICECKS1
+// envelope (short, no magic, or failing its CRC) or whose payload does not
+// match its recorded fingerprint — a torn write or bit rot, not a schema
+// problem. Callers that can retrain should treat it as "no context" rather
+// than restoring garbage.
 var ErrCorruptContext = errors.New("core: corrupt context")
-
-// ctxMagic opens the checksummed context envelope — the same DICECKS1
-// framing gateway checkpoints use: magic + 4-byte little-endian CRC32-C of
-// the JSON payload + the JSON. Files without the magic are pre-envelope
-// plain JSON and still readable.
-var ctxMagic = [8]byte{'D', 'I', 'C', 'E', 'C', 'K', 'S', '1'}
-
-var ctxCRCTable = crc32.MakeTable(crc32.Castagnoli)
 
 // payloadJSON renders the canonical persisted payload. encoding/json sorts
 // map keys and the chains marshal their cells sorted, so identical content
@@ -730,12 +668,10 @@ func (c *Context) payloadJSON(fingerprint string) ([]byte, error) {
 		A2G:         c.a2g,
 		Effects:     c.effectCounts,
 		ActCounts:   c.actCounts,
-	}
-	if c.TimingCapable() {
-		cj.Schema = ContextSchemaV2
-		cj.G2GGaps = c.g2gGaps
-		cj.G2AGaps = c.g2aGaps
-		cj.A2GGaps = c.a2gGaps
+		Schema:      contextSchema,
+		G2GGaps:     c.g2gGaps,
+		G2AGaps:     c.g2aGaps,
+		A2GGaps:     c.a2gGaps,
 	}
 	data, err := json.Marshal(cj)
 	if err != nil {
@@ -756,42 +692,31 @@ func (c *Context) computeFingerprint() (string, error) {
 	return fmt.Sprintf("%016x", h.Sum64()), nil
 }
 
-// Save writes the context in the checksummed DICECKS1 envelope: magic +
-// CRC32-C + canonical JSON payload (including epoch, parent, and
-// fingerprint), so a torn write is detected at load time instead of
-// poisoning a cold start.
+// Save writes the context in a DICECKS1 envelope (wal.SealEnvelope) around
+// the canonical JSON payload (including epoch, parent, and fingerprint), so
+// a torn write is detected at load time instead of poisoning a cold start.
 func (c *Context) Save(w io.Writer) error {
 	payload, err := c.payloadJSON(c.fingerprint)
 	if err != nil {
 		return fmt.Errorf("core: save context: %w", err)
 	}
-	var head [12]byte
-	copy(head[:8], ctxMagic[:])
-	binary.LittleEndian.PutUint32(head[8:12], crc32.Checksum(payload, ctxCRCTable))
-	if _, err := w.Write(head[:]); err != nil {
-		return fmt.Errorf("core: save context: %w", err)
-	}
-	if _, err := w.Write(payload); err != nil {
+	if _, err := w.Write(wal.SealEnvelope(payload)); err != nil {
 		return fmt.Errorf("core: save context: %w", err)
 	}
 	return nil
 }
 
 // LoadContext reads a context saved by Save and binds it to the layout,
-// verifying that the device names match position for position. Enveloped
-// files are CRC-checked (damage reports ErrCorruptContext); legacy
-// plain-JSON saves still load, pinned to epoch 0.
+// verifying that the device names match position for position. Input that
+// is not an intact envelope reports ErrCorruptContext; a payload of another
+// schema, or one missing any of the interval sketch sets, is rejected.
 func LoadContext(r io.Reader, layout *window.Layout) (*Context, error) {
 	data, err := io.ReadAll(r)
 	if err != nil {
 		return nil, fmt.Errorf("core: load context: %w", err)
 	}
-	if len(data) >= 12 && bytes.Equal(data[:8], ctxMagic[:]) {
-		want := binary.LittleEndian.Uint32(data[8:12])
-		data = data[12:]
-		if crc32.Checksum(data, ctxCRCTable) != want {
-			return nil, fmt.Errorf("%w: envelope fails CRC", ErrCorruptContext)
-		}
+	if data, err = wal.OpenEnvelope(data); err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrCorruptContext, err)
 	}
 	var cj contextJSON
 	if err := json.Unmarshal(data, &cj); err != nil {
@@ -838,16 +763,13 @@ func LoadContext(r io.Reader, layout *window.Layout) (*Context, error) {
 	if cj.ActCounts != nil {
 		ctx.actCounts = cj.ActCounts
 	}
-	if cj.Schema > ContextSchemaV2 {
-		return nil, fmt.Errorf("core: context schema %d is newer than this build supports (%d)", cj.Schema, ContextSchemaV2)
+	if cj.Schema != contextSchema || cj.G2GGaps == nil || cj.G2AGaps == nil || cj.A2GGaps == nil {
+		return nil, fmt.Errorf("core: context schema %d with sketches g2g=%t g2a=%t a2g=%t, want schema %d with all three",
+			cj.Schema, cj.G2GGaps != nil, cj.G2AGaps != nil, cj.A2GGaps != nil, contextSchema)
 	}
-	// v2 payloads restore the interval sketches; a v1 payload leaves all
-	// three nil, yielding a loadable but timing-disabled context.
-	if cj.G2GGaps != nil && cj.G2AGaps != nil && cj.A2GGaps != nil {
-		ctx.g2gGaps = cj.G2GGaps
-		ctx.g2aGaps = cj.G2AGaps
-		ctx.a2gGaps = cj.A2GGaps
-	}
+	ctx.g2gGaps = cj.G2GGaps
+	ctx.g2aGaps = cj.G2AGaps
+	ctx.a2gGaps = cj.A2GGaps
 	ctx.epoch = cj.Epoch
 	ctx.parent = cj.Parent
 	fp, err := ctx.computeFingerprint()

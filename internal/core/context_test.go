@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"math"
 	"strings"
@@ -9,6 +10,7 @@ import (
 	"time"
 
 	"repro/internal/bitvec"
+	"repro/internal/wal"
 )
 
 // mustBuilder returns a fresh epoch-0 builder over the toy core layout.
@@ -314,8 +316,8 @@ func TestContextSaveLoadRoundTrip(t *testing.T) {
 }
 
 // TestContextEnvelope: Save writes the checksummed DICECKS1 envelope; a
-// flipped payload byte surfaces as ErrCorruptContext, and a legacy
-// plain-JSON stream (no envelope) still loads.
+// flipped payload or magic byte, a short stream and a bare JSON payload
+// (no envelope) all surface as ErrCorruptContext.
 func TestContextEnvelope(t *testing.T) {
 	l := coreLayout(t)
 	cb, err := NewContextBuilder(l, time.Minute, []float64{1, 2})
@@ -340,20 +342,57 @@ func TestContextEnvelope(t *testing.T) {
 		t.Errorf("corrupt payload: err = %v, want ErrCorruptContext", err)
 	}
 
-	// Legacy fallback: the bare JSON payload (as written before the
-	// envelope existed) still loads.
-	legacy, err := LoadContext(bytes.NewReader(raw[12:]), l)
-	if err != nil {
-		t.Fatalf("legacy plain-JSON load: %v", err)
-	}
-	if legacy.Fingerprint() != ctx.Fingerprint() {
-		t.Errorf("legacy load fingerprint %q, want %q", legacy.Fingerprint(), ctx.Fingerprint())
+	// Damage to the magic, input shorter than the header, and the bare JSON
+	// payload without its envelope are all corruption, not another format.
+	flipped := append([]byte(nil), raw...)
+	flipped[0] ^= 0x01
+	for name, data := range map[string][]byte{
+		"byte 0 flipped": flipped,
+		"short":          raw[:11],
+		"bare payload":   raw[12:],
+	} {
+		if _, err := LoadContext(bytes.NewReader(data), l); !errors.Is(err, ErrCorruptContext) {
+			t.Errorf("%s: err = %v, want ErrCorruptContext", name, err)
+		}
 	}
 
 	// A tampered fingerprint field fails verification.
 	tampered := strings.Replace(string(raw[12:]), ctx.Fingerprint(), strings.Repeat("0", 16), 1)
-	if _, err := LoadContext(strings.NewReader(tampered), l); !errors.Is(err, ErrCorruptContext) {
+	if _, err := LoadContext(bytes.NewReader(wal.SealEnvelope([]byte(tampered))), l); !errors.Is(err, ErrCorruptContext) {
 		t.Errorf("tampered fingerprint: err = %v, want ErrCorruptContext", err)
+	}
+}
+
+// TestLoadContextRequiresSchema2: an intact envelope whose payload lacks
+// the schema tag or any of the three interval sketch sets does not load.
+func TestLoadContextRequiresSchema2(t *testing.T) {
+	l := coreLayout(t)
+	cb, err := NewContextBuilder(l, time.Minute, []float64{1, 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cb.AddGroup(vec(t, "10000000"))
+	var buf bytes.Buffer
+	if err := seal(t, cb).Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	for _, drop := range []string{"schema", "g2g_gaps", "g2a_gaps", "a2g_gaps"} {
+		var fields map[string]json.RawMessage
+		if err := json.Unmarshal(buf.Bytes()[12:], &fields); err != nil {
+			t.Fatal(err)
+		}
+		// Blank the fingerprint so the schema check, not the integrity
+		// check, is what rejects the payload.
+		delete(fields, "fingerprint")
+		delete(fields, drop)
+		payload, err := json.Marshal(fields)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = LoadContext(bytes.NewReader(wal.SealEnvelope(payload)), l)
+		if err == nil || errors.Is(err, ErrCorruptContext) {
+			t.Errorf("payload without %q: err = %v, want a schema error", drop, err)
+		}
 	}
 }
 
@@ -369,20 +408,25 @@ func TestLoadContextRejectsWrongLayout(t *testing.T) {
 	if err := ctx.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	// Work on the bare payload (legacy path) with the fingerprint blanked,
-	// so the layout checks are what reject the mutations rather than the
+	// Re-envelope each mutated payload with the fingerprint blanked, so
+	// the layout checks are what reject the mutations rather than the
 	// integrity checks.
 	text := strings.Replace(buf.String()[12:], ctx.Fingerprint(), "", 1)
-	mutated := strings.Replace(text, "motion-a", "motion-X", 1)
-	if _, err := LoadContext(strings.NewReader(mutated), l); err == nil {
+	load := func(payload string) error {
+		_, err := LoadContext(bytes.NewReader(wal.SealEnvelope([]byte(payload))), l)
+		return err
+	}
+	if err := load(text); err != nil {
+		t.Fatalf("unmutated payload rejected: %v", err)
+	}
+	if load(strings.Replace(text, "motion-a", "motion-X", 1)) == nil {
 		t.Error("renamed device accepted")
 	}
-	if _, err := LoadContext(strings.NewReader("{bad json"), l); err == nil {
+	if load("{bad json") == nil {
 		t.Error("malformed JSON accepted")
 	}
 	// Wrong group width.
-	badWidth := strings.Replace(text, `"10000000"`, `"100"`, 1)
-	if _, err := LoadContext(strings.NewReader(badWidth), l); err == nil {
+	if load(strings.Replace(text, `"10000000"`, `"100"`, 1)) == nil {
 		t.Error("wrong group width accepted")
 	}
 }

@@ -28,13 +28,11 @@ const (
 	// CheckTiming flags a structurally valid transition whose inter-window
 	// gap falls outside the interval band learned during training: the
 	// right transition at the wrong pace (a delayed actuator, a slowly
-	// degrading sensor). It sits after CheckLiveness so legacy integer
-	// encodings of the earlier causes stay stable.
+	// degrading sensor).
 	CheckTiming
 	// CheckGhost flags actuator events from a device ID the layout does
 	// not know — a spoofed or ghost device injecting traffic into the
-	// home. It sits last so legacy integer encodings of the earlier
-	// causes stay stable.
+	// home.
 	CheckGhost
 )
 
@@ -98,7 +96,7 @@ type Alert struct {
 	EarlyWeight bool
 	// Explain is the decision trace behind the alert: the opening window,
 	// matched/probable groups, violated transition, and intersection
-	// history. Nil only for episodes restored from a pre-trace checkpoint.
+	// history. Every episode carries one, restored episodes included.
 	Explain *Explain `json:"explain,omitempty"`
 }
 
@@ -794,9 +792,7 @@ func (d *Detector) concludeOne(ep *episode, res *Result) (*Alert, bool) {
 		}
 	}
 	trace := ep.trace
-	if trace != nil {
-		trace.ReportedWindow = res.WindowIndex
-	}
+	trace.ReportedWindow = res.WindowIndex
 	alert := &Alert{
 		Devices:        devices,
 		Cause:          ep.cause,

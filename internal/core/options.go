@@ -59,7 +59,7 @@ func WithChecks(checks ...Check) Option {
 }
 
 // WithTiming enables or disables the interval-band timing check. It is on
-// by default whenever the context carries interval sketches (schema v2).
+// by default.
 func WithTiming(enabled bool) Option {
 	return func(o *detOptions) { o.cfg.DisableTiming = !enabled }
 }

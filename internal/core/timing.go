@@ -63,9 +63,8 @@ func (e *TimingEvidence) Clone() *TimingEvidence {
 
 // TimingCheck flags structurally valid transitions whose inter-window gap
 // falls outside the interval band learned during training — the right
-// transition at the wrong pace. It self-disables when the context predates
-// interval sketches (schema v1) or the detector was built WithTiming(false),
-// and it evaluates the edge families in blame order: A2G (a firing's
+// transition at the wrong pace. It is off when the detector was built
+// WithTiming(false), and it evaluates the edge families in blame order: A2G (a firing's
 // consequence arrived off-pace — suspect the actuator), then G2A (a firing
 // left its group off-pace — suspect the actuator), then G2G (a plain hop
 // after an out-of-band dwell — suspect the sensors separating the groups).
@@ -80,7 +79,7 @@ func (TimingCheck) Cause() Cause { return CheckTiming }
 // Run implements Check.
 func (TimingCheck) Run(d *Detector, in CheckInput) *Finding {
 	cur := in.Cands.Main
-	if cur == NoGroup || d.cfg.DisableTiming || !d.ctx.TimingCapable() {
+	if cur == NoGroup || d.cfg.DisableTiming {
 		return nil
 	}
 	d.met.timingChecked.Inc()

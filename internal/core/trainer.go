@@ -37,7 +37,7 @@ type Trainer struct {
 	prevActs  []device.ID
 	windows   int
 
-	// Timing statistics (schema v2): dwell counts the consecutive windows
+	// Timing statistics: dwell counts the consecutive windows
 	// spent in prevGroup as of the last learned window, and lastFire maps
 	// each actuator slot to the window index of its most recent firing.
 	// The detector maintains the same two quantities at run time, so a
@@ -98,7 +98,6 @@ func (t *Trainer) FinishCalibration() error {
 	if err != nil {
 		return err
 	}
-	cb.EnableTiming()
 	t.bin = bin
 	t.cb = cb
 	return nil

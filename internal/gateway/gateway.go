@@ -32,7 +32,6 @@ type Alert struct {
 	ReportedAt time.Duration `json:"reported_at"`
 	// Explain is the decision trace: the detector's episode trace for
 	// violation alerts, a single-step silence trace for liveness alerts.
-	// Nil only for episodes restored from a pre-trace checkpoint.
 	Explain *core.Explain `json:"explain,omitempty"`
 }
 
@@ -149,7 +148,7 @@ type Gateway struct {
 	// state; walSeq is the sequence number of the last op this gateway has
 	// logged or replayed, carried into checkpoints so replay can skip the
 	// covered prefix. walBuf and walFrames are the reused encode buffers
-	// that keep the append path (single and batched) allocation-free.
+	// that keep the append path allocation-free.
 	wal       *wal.Log
 	walSeq    uint64
 	walBuf    []byte
@@ -417,11 +416,6 @@ type ContextInfo struct {
 	Fingerprint string `json:"fingerprint"`
 	Parent      string `json:"parent,omitempty"`
 	Groups      int    `json:"groups"`
-	// ContextSchema is the context payload version (v2 carries interval
-	// sketches); TimingCapable reports whether the detector's timing check
-	// can run against this context.
-	ContextSchema int  `json:"context_schema"`
-	TimingCapable bool `json:"timing_capable"`
 	// Adaptive reports whether online adaptation is enabled; the remaining
 	// fields are zero when it is not.
 	Adaptive       bool   `json:"adaptive"`
@@ -439,13 +433,11 @@ func (g *Gateway) ContextInfo() ContextInfo {
 	defer g.mu.Unlock()
 	ctx := g.det.Context()
 	info := ContextInfo{
-		Epoch:         ctx.Epoch(),
-		Fingerprint:   ctx.Fingerprint(),
-		Parent:        ctx.ParentFingerprint(),
-		Groups:        ctx.NumGroups(),
-		ContextSchema: ctx.SchemaVersion(),
-		TimingCapable: ctx.TimingCapable(),
-		Adaptive:      g.adapter != nil,
+		Epoch:       ctx.Epoch(),
+		Fingerprint: ctx.Fingerprint(),
+		Parent:      ctx.ParentFingerprint(),
+		Groups:      ctx.NumGroups(),
+		Adaptive:    g.adapter != nil,
 	}
 	if g.adapter != nil {
 		info.GroupsAdmitted = g.adapter.GroupsAdmitted()
@@ -482,51 +474,35 @@ func (g *Gateway) Liveness() []DeviceLiveness {
 	return out
 }
 
-// Ingest feeds one event. Completed windows are run through the detector
-// immediately. With a WAL attached the event is made durable (per the sync
-// policy) before any state mutates, so a crash at any point either replays
-// the event or never acknowledged it.
+// Ingest feeds one event: an IngestBatch of one.
 func (g *Gateway) Ingest(e event.Event) error {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if e.At < g.horizon {
-		return fmt.Errorf("gateway: event at %s regresses behind %s", e.At, g.horizon)
-	}
-	if err := g.logRecordLocked(wal.IngestRecord(e)); err != nil {
-		return err
-	}
-	return g.ingestLocked(e)
+	return g.IngestBatch([]event.Event{e})
 }
 
 // IngestBatch feeds a batch of events in one critical section: the whole
 // batch is validated first, logged to the WAL with a single batched
 // append (one write + one sync-policy application), then applied event
-// by event through the same path Ingest uses.
+// by event, completed windows running through the detector immediately.
+// With a WAL attached the batch is durable (per the sync policy) before
+// any state mutates, so a crash at any point either replays it or never
+// acknowledged it.
 //
 // Validation must precede logging: a record that reaches the WAL will be
 // re-applied on replay regardless of what the live run returned, so any
 // event the gateway might refuse (time regression behind the horizon or
 // the open window) has to be refused before anything is durable —
-// otherwise the recovered state would diverge from the live one. For the
-// same reason application continues past per-event errors, exactly as
-// replay does; the first error is returned after the batch completes.
+// otherwise the recovered state would diverge from the live one. A
+// refused batch applies nothing. Application continues past per-event
+// errors, exactly as replay does; the first error is returned after the
+// batch completes.
 func (g *Gateway) IngestBatch(evts []event.Event) error {
 	if len(evts) == 0 {
 		return nil
 	}
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	idx := g.builder.CurrentIndex()
-	dur := g.builder.Duration()
-	for _, e := range evts {
-		if e.At < g.horizon {
-			return fmt.Errorf("gateway: event at %s regresses behind %s", e.At, g.horizon)
-		}
-		w := int(e.At / dur)
-		if w < idx {
-			return fmt.Errorf("gateway: event at %s regresses before window %d", e.At, idx)
-		}
-		idx = w
+	if err := CheckOrder(evts, g.horizon, g.builder.CurrentIndex(), g.builder.Duration()); err != nil {
+		return err
 	}
 	if err := g.logBatchLocked(evts); err != nil {
 		return err
@@ -538,6 +514,26 @@ func (g *Gateway) IngestBatch(evts []event.Event) error {
 		}
 	}
 	return first
+}
+
+// CheckOrder returns an error for the first event in evts that regresses
+// behind horizon, or into a window (of length dur) before window idx or
+// before the window of an event ahead of it. IngestBatch refuses such a
+// batch whole. A front that applies batches asynchronously can call it
+// with horizon and idx zero to refuse a batch that regresses within
+// itself before queueing it.
+func CheckOrder(evts []event.Event, horizon time.Duration, idx int, dur time.Duration) error {
+	for _, e := range evts {
+		if e.At < horizon {
+			return fmt.Errorf("gateway: event at %s regresses behind %s", e.At, horizon)
+		}
+		w := int(e.At / dur)
+		if w < idx {
+			return fmt.Errorf("gateway: event at %s regresses before window %d", e.At, idx)
+		}
+		idx = w
+	}
+	return nil
 }
 
 // ingestLocked applies one event to detector state. It is the shared path
@@ -628,9 +624,9 @@ func (g *Gateway) observeClockLocked(t time.Duration) {
 	g.streamNow = t
 }
 
-// logRecordLocked appends one op to the WAL (no-op without one). The
-// record encodes into a reused buffer, so the hot path stays free of
-// steady-state allocations.
+// logRecordLocked appends one stream-clock advance to the WAL (no-op
+// without one); events go through logBatchLocked. The record encodes into
+// a reused buffer, so the path stays free of steady-state allocations.
 func (g *Gateway) logRecordLocked(rec wal.Record) error {
 	if g.wal == nil {
 		return nil

@@ -3,7 +3,6 @@ package gateway
 import (
 	"encoding/json"
 	"net"
-	"os"
 	"path/filepath"
 	"reflect"
 	"testing"
@@ -230,105 +229,6 @@ func TestGatewayCheckpointVersioned(t *testing.T) {
 	}
 	if err := gw2.RestoreCheckpoint(&back); err == nil {
 		t.Error("future checkpoint version accepted")
-	}
-}
-
-// TestCheckpointV1Migration round-trips the legacy schema: a v1 file (the
-// pre-envelope format keyed "version":1, no "v", no tenancy) must load,
-// migrate to v2 in memory, restore cleanly, and produce the same stitched
-// run as an uninterrupted gateway.
-func TestCheckpointV1Migration(t *testing.T) {
-	h, ctx := trainedHome(t)
-	evts := faultyAfternoon(t, h, 4)
-
-	ref, err := New(ctx, WithConfig(core.Config{}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, e := range evts {
-		if err := ref.Ingest(e); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := ref.AdvanceTo(4 * time.Hour); err != nil {
-		t.Fatal(err)
-	}
-	refStats, refAlerts := ref.Stats(), drainAlerts(ref)
-
-	cut := 2 * time.Hour
-	gw1, err := New(ctx, WithConfig(core.Config{}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	split := 0
-	for ; split < len(evts) && evts[split].At < cut; split++ {
-		if err := gw1.Ingest(evts[split]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	alerts := drainAlerts(gw1)
-
-	// Rewrite the exported checkpoint as a v1 file: version under the
-	// legacy key, no envelope fields. This is byte-compatible with what a
-	// pre-v2 gateway persisted.
-	data, err := json.Marshal(gw1.ExportCheckpoint())
-	if err != nil {
-		t.Fatal(err)
-	}
-	var raw map[string]json.RawMessage
-	if err := json.Unmarshal(data, &raw); err != nil {
-		t.Fatal(err)
-	}
-	delete(raw, "v")
-	delete(raw, "home")
-	raw["version"] = json.RawMessage("1")
-	v1data, err := json.Marshal(raw)
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(t.TempDir(), "legacy.ckpt")
-	if err := os.WriteFile(path, v1data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	cp, err := ReadCheckpoint(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cp.V != CheckpointVersion || cp.LegacyVersion != 0 {
-		t.Fatalf("v1 file did not migrate: v=%d legacy=%d", cp.V, cp.LegacyVersion)
-	}
-	gw2, err := New(ctx, WithConfig(core.Config{}), WithCheckpoint(cp))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for ; split < len(evts); split++ {
-		if err := gw2.Ingest(evts[split]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := gw2.AdvanceTo(4 * time.Hour); err != nil {
-		t.Fatal(err)
-	}
-	alerts = append(alerts, drainAlerts(gw2)...)
-	if got := gw2.Stats(); got != refStats {
-		t.Errorf("migrated run diverged:\n reference: %+v\n migrated: %+v", refStats, got)
-	}
-	if !reflect.DeepEqual(alerts, refAlerts) {
-		t.Errorf("alerts diverged across v1 migration:\n reference: %+v\n migrated: %+v", refAlerts, alerts)
-	}
-
-	// A v1 file claiming an unknown legacy version must be refused.
-	raw["version"] = json.RawMessage("9")
-	bad, err := json.Marshal(raw)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(path, bad, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ReadCheckpoint(path); err == nil {
-		t.Error("unknown legacy version accepted")
 	}
 }
 

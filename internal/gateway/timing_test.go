@@ -11,22 +11,20 @@ import (
 )
 
 // The trained context carries interval sketches, and both inspection
-// surfaces — ContextInfo and the CoAP /context resource — must say so.
+// surfaces — ContextInfo and the CoAP /context resource — describe the
+// same version.
 func TestGatewayContextInfoTiming(t *testing.T) {
 	_, ctx := trainedHome(t)
-	if !ctx.TimingCapable() {
-		t.Fatal("trained context is not timing capable")
+	if ctx.G2GGaps().Len() == 0 {
+		t.Fatal("trained context recorded no interval sketches")
 	}
 	gw, err := New(ctx, WithConfig(core.Config{}))
 	if err != nil {
 		t.Fatal(err)
 	}
 	info := gw.ContextInfo()
-	if info.ContextSchema != core.ContextSchemaV2 {
-		t.Errorf("ContextSchema = %d, want %d", info.ContextSchema, core.ContextSchemaV2)
-	}
-	if !info.TimingCapable {
-		t.Error("TimingCapable = false for a sketch-carrying context")
+	if info.Fingerprint != ctx.Fingerprint() || info.Groups != ctx.NumGroups() {
+		t.Errorf("ContextInfo = %+v, want fingerprint %s and %d groups", info, ctx.Fingerprint(), ctx.NumGroups())
 	}
 
 	f := &Front{gw: gw, malformed: gw.Telemetry().Counter(metricGwMalformed, "test")}
@@ -40,8 +38,8 @@ func TestGatewayContextInfoTiming(t *testing.T) {
 	if err := json.Unmarshal(resp.Payload, &got); err != nil {
 		t.Fatalf("GET /context payload: %v", err)
 	}
-	if got.ContextSchema != core.ContextSchemaV2 || !got.TimingCapable {
-		t.Errorf("GET /context = %+v, want schema %d and timing capable", got, core.ContextSchemaV2)
+	if got != info {
+		t.Errorf("GET /context = %+v, want %+v", got, info)
 	}
 }
 

@@ -353,8 +353,8 @@ func TestGatewayLivenessRebase(t *testing.T) {
 
 // TestCheckpointCorruptEnvelope: flipping one byte of an enveloped
 // checkpoint must surface ErrCorruptCheckpoint (so callers can fall back
-// to cold start + WAL replay), and pre-envelope plain-JSON files must
-// still read.
+// to cold start + WAL replay), and so must a flipped magic byte, a file
+// shorter than the envelope header, and a bare JSON payload.
 func TestCheckpointCorruptEnvelope(t *testing.T) {
 	_, ctx := trainedHome(t)
 	gw, err := New(ctx, WithConfig(core.Config{}))
@@ -382,16 +382,21 @@ func TestCheckpointCorruptEnvelope(t *testing.T) {
 		t.Fatalf("corrupt checkpoint error = %v, want ErrCorruptCheckpoint", err)
 	}
 
-	// Legacy file: the JSON payload without any envelope.
-	if err := os.WriteFile(path, data[12:], 0o644); err != nil {
-		t.Fatal(err)
-	}
-	cp, err := ReadCheckpoint(path)
-	if err != nil {
-		t.Fatalf("legacy plain-JSON checkpoint rejected: %v", err)
-	}
-	if cp.V != CheckpointVersion {
-		t.Errorf("legacy checkpoint migrated to v%d, want v%d", cp.V, CheckpointVersion)
+	// Damage to the magic, a file shorter than the header, and the bare
+	// JSON payload without its envelope are all corruption too.
+	magic := append([]byte(nil), data...)
+	magic[0] ^= 0x01
+	for name, bad := range map[string][]byte{
+		"byte 0 flipped": magic,
+		"short":          data[:11],
+		"bare payload":   data[12:],
+	} {
+		if err := os.WriteFile(path, bad, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ReadCheckpoint(path); !errors.Is(err, ErrCorruptCheckpoint) {
+			t.Errorf("%s: error = %v, want ErrCorruptCheckpoint", name, err)
+		}
 	}
 }
 

@@ -5,8 +5,10 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/coap"
 	"repro/internal/core"
 	"repro/internal/event"
+	"repro/internal/wal"
 	"repro/internal/wire"
 )
 
@@ -157,5 +159,62 @@ func TestIngestBatchZeroAllocSameWindow(t *testing.T) {
 	})
 	if avg != 0 {
 		t.Errorf("decode+ingest of a clean batch allocates %v times per run, want 0", avg)
+	}
+
+	// Single-event Ingest is a batch of one and must stay allocation-free
+	// with a WAL attached.
+	w, err := wal.Open(t.TempDir(), wal.Options{Sync: wal.SyncNever})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	durable, err := New(ctx, WithConfig(core.Config{}), WithWAL(w))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := durable.Ingest(batch[0]); err != nil {
+		t.Fatal(err)
+	}
+	avg = testing.AllocsPerRun(100, func() {
+		if err := durable.Ingest(batch[0]); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if avg != 0 {
+		t.Errorf("durable single-event Ingest allocates %v times per run, want 0", avg)
+	}
+}
+
+// TestJSONReportRefusedWhole: a JSON /report whose third reading regresses
+// behind the horizon is refused with 4.00 and applies nothing — the
+// report is one IngestBatch, exactly like a binary batch.
+func TestJSONReportRefusedWhole(t *testing.T) {
+	h, ctx := trainedHome(t)
+	gw, err := New(ctx, WithConfig(core.Config{}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := gw.AdvanceTo(10 * time.Minute); err != nil {
+		t.Fatal(err)
+	}
+	before := gw.Stats()
+	dev := int(h.Layout().BinaryID(0))
+	payload, err := json.Marshal([]WireEvent{
+		{AtMS: (10*time.Minute + 5*time.Second).Milliseconds(), Device: dev, Value: 1},
+		{AtMS: (10*time.Minute + 10*time.Second).Milliseconds(), Device: dev, Value: 0},
+		{AtMS: (9*time.Minute + 30*time.Second).Milliseconds(), Device: dev, Value: 1},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := newFront(gw)
+	req := &coap.Message{Code: coap.CodePOST, Payload: payload}
+	req.SetPath("report")
+	resp := f.handle(req)
+	if resp.Code != coap.CodeBadRequest || string(resp.Payload) != ReasonRejected {
+		t.Errorf("regressing report answered %v %q, want 4.00 %q", resp.Code, resp.Payload, ReasonRejected)
+	}
+	if got := gw.Stats(); got != before {
+		t.Errorf("refused report changed stats:\n before %+v\n after  %+v", before, got)
 	}
 }

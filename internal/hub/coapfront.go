@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"repro/internal/coap"
-	"repro/internal/device"
 	"repro/internal/event"
 	"repro/internal/gateway"
 	"repro/internal/telemetry"
@@ -26,8 +25,8 @@ import (
 // The bare single-gateway paths (/report, /advance, ...) keep working when
 // the front has a default home, so an unmodified device agent can report
 // into a hub. Both encodings are negotiated by payload sniffing, exactly as
-// on the single-gateway front; binary batches ride the one-op
-// Hub.IngestBatch path. Error responses carry the same stable reason codes
+// on the single-gateway front, and a report of either encoding rides one
+// Hub.IngestBatch op. Error responses carry the same stable reason codes
 // as the gateway front (plus "unknown-home"), never internal error text.
 
 // ReasonUnknownHome is the CodeNotFound reason for an unregistered tenant.
@@ -142,23 +141,34 @@ func errResponse(err error) *coap.Message {
 // ops apply asynchronously.
 func (f *Front) handleBinary(home string, payload []byte) *coap.Message {
 	scratch := wire.GetEvents()
+	defer wire.PutEvents(scratch)
 	b, err := wire.DecodeBatch(payload, *scratch)
 	if err != nil {
-		wire.PutEvents(scratch)
 		f.malformed.Inc()
 		return &coap.Message{Code: coap.CodeBadRequest, Payload: []byte(gateway.ReasonBadPayload)}
 	}
 	*scratch = b.Events
-	var opErr error
-	switch b.Kind {
-	case wire.KindReport:
-		opErr = f.h.IngestBatch(home, b.Events)
-	case wire.KindAdvance:
-		opErr = f.h.Advance(home, b.At)
+	if b.Kind == wire.KindAdvance {
+		if err := f.h.Advance(home, b.At); err != nil {
+			return errResponse(err)
+		}
+		return &coap.Message{Code: coap.CodeChanged}
 	}
-	wire.PutEvents(scratch)
-	if opErr != nil {
-		return errResponse(opErr)
+	return f.report(home, b.Events)
+}
+
+// report routes one decoded report as a single shard op. The tenant
+// gateway applies it asynchronously and refuses it whole if it regresses
+// behind its horizon; a report that regresses within itself is refused
+// here, with 4.00, because the gateway could never accept it.
+func (f *Front) report(home string, evts []event.Event) *coap.Message {
+	if tn, ok := f.h.Tenant(home); ok {
+		if err := gateway.CheckOrder(evts, 0, 0, tn.t.cctx.Duration()); err != nil {
+			return &coap.Message{Code: coap.CodeBadRequest, Payload: []byte(gateway.ReasonRejected)}
+		}
+	}
+	if err := f.h.IngestBatch(home, evts); err != nil {
+		return errResponse(err)
 	}
 	return &coap.Message{Code: coap.CodeChanged}
 }
@@ -173,22 +183,15 @@ func (f *Front) handle(req *coap.Message) *coap.Message {
 		if wire.IsBinary(req.Payload) {
 			return f.handleBinary(home, req.Payload)
 		}
-		var batch []gateway.WireEvent
-		if err := json.Unmarshal(req.Payload, &batch); err != nil {
+		scratch := wire.GetEvents()
+		defer wire.PutEvents(scratch)
+		evts, err := gateway.DecodeJSONReport(req.Payload, (*scratch)[:0])
+		*scratch = evts
+		if err != nil {
 			f.malformed.Inc()
 			return &coap.Message{Code: coap.CodeBadRequest, Payload: []byte(gateway.ReasonBadPayload)}
 		}
-		for _, w := range batch {
-			e := event.Event{
-				At:     time.Duration(w.AtMS) * time.Millisecond,
-				Device: device.ID(w.Device),
-				Value:  w.Value,
-			}
-			if err := f.h.Ingest(home, e); err != nil {
-				return errResponse(err)
-			}
-		}
-		return &coap.Message{Code: coap.CodeChanged}
+		return f.report(home, evts)
 	case "advance":
 		if wire.IsBinary(req.Payload) {
 			return f.handleBinary(home, req.Payload)

@@ -7,12 +7,11 @@ import (
 	"time"
 
 	"repro/internal/coap"
-	"repro/internal/core"
 	"repro/internal/gateway"
 )
 
-// GET /context/{home} over CoAP must report the active schema and timing
-// capability, matching the HTTP /tenants/{home}/context view.
+// GET /context/{home} over CoAP must report the active context version,
+// matching the tenant's ContextInfo (the HTTP /tenants/{home}/context view).
 func TestHubCoAPContextResource(t *testing.T) {
 	_, cctx := trained(t)
 	hub, err := New(WithShards(1))
@@ -55,9 +54,9 @@ func TestHubCoAPContextResource(t *testing.T) {
 	if err := json.Unmarshal(resp.Payload, &info); err != nil {
 		t.Fatalf("payload: %v", err)
 	}
-	if info.ContextSchema != core.ContextSchemaV2 || !info.TimingCapable {
-		t.Errorf("GET /context/home-a = %+v, want schema %d and timing capable",
-			info, core.ContextSchemaV2)
+	tn, _ := hub.Tenant("home-a")
+	if want := tn.ContextInfo(); info != want || info.Fingerprint != cctx.Fingerprint() {
+		t.Errorf("GET /context/home-a = %+v, want %+v with fingerprint %s", info, want, cctx.Fingerprint())
 	}
 	if resp := get("context/nobody"); resp.Code != coap.CodeNotFound {
 		t.Errorf("GET /context/nobody code = %v, want 4.04", resp.Code)

@@ -109,17 +109,17 @@ func newHubMetrics(reg *telemetry.Registry) hubMetrics {
 type opKind uint8
 
 const (
-	opIngest opKind = iota
+	// opIngestBatch applies a batch of events — one event for Ingest and
+	// TryIngest — in one gateway call (one WAL append, one lock
+	// acquisition). Its events live in a hub-pooled slice the worker
+	// recycles after apply.
+	opIngestBatch opKind = iota
 	opAdvance
 	opBarrier
 	// opStall parks the worker until done is closed by the sender — the
 	// inverse of a barrier. Only tests enqueue it, to fill a queue
 	// deterministically and observe shedding.
 	opStall
-	// opIngestBatch applies a whole decoded binary batch in one gateway
-	// call (one WAL append, one lock acquisition). Its events live in a
-	// hub-pooled slice the worker recycles after apply.
-	opIngestBatch
 )
 
 // op is one unit of shard work. Barriers carry a done channel the worker
@@ -128,7 +128,6 @@ const (
 type op struct {
 	t    *tenant
 	kind opKind
-	ev   event.Event
 	evs  *[]event.Event // opIngestBatch only; hub-pooled, worker-recycled
 	at   time.Duration
 	done chan struct{}
@@ -484,8 +483,6 @@ func (h *Hub) worker(s *shard) {
 			close(o.done)
 		case opStall:
 			<-o.done
-		case opIngest:
-			h.applyOp(o, func(g *gateway.Gateway) error { return g.Ingest(o.ev) })
 		case opIngestBatch:
 			h.applyOp(o, func(g *gateway.Gateway) error { return g.IngestBatch(*o.evs) })
 			*o.evs = (*o.evs)[:0]
@@ -673,7 +670,7 @@ func (h *Hub) enqueue(home string, o op, block bool) error {
 	o.t = t
 	s := h.shardForLocked(home)
 	s.depth.Add(1)
-	dataOp := o.kind == opIngest || o.kind == opIngestBatch || o.kind == opAdvance
+	dataOp := o.kind == opIngestBatch || o.kind == opAdvance
 	if block && (h.o.ingestDeadline <= 0 || !dataOp) {
 		s.ops <- o
 		return nil
@@ -712,32 +709,36 @@ func (h *Hub) enqueue(home string, o op, block bool) error {
 	}
 }
 
-// Ingest routes one event to its home's shard, blocking while the shard
-// queue is full (backpressure). The event is applied asynchronously; a
-// gateway-level rejection increments dice_hub_ingest_errors_total.
+// Ingest routes one event to its home's shard as an IngestBatch of one.
 func (h *Hub) Ingest(home string, e event.Event) error {
-	return h.enqueue(home, op{kind: opIngest, ev: e}, true)
+	return h.ingest(home, []event.Event{e}, true)
 }
 
 // TryIngest is Ingest without backpressure: a full shard queue sheds the
 // event (counted per shard) and returns ErrShed.
 func (h *Hub) TryIngest(home string, e event.Event) error {
-	return h.enqueue(home, op{kind: opIngest, ev: e}, false)
+	return h.ingest(home, []event.Event{e}, false)
 }
 
 // IngestBatch routes a whole batch of events to the home's shard as one op:
-// one queue slot, one gateway lock acquisition, one WAL append. The caller
-// keeps ownership of evts — the batch is copied into a hub-pooled slice at
-// enqueue, so a CoAP front can return its decode scratch immediately.
-// Per-event application errors are counted, not returned, matching the
-// asynchronous contract of Ingest.
+// one queue slot, one gateway lock acquisition, one WAL append. It blocks
+// while the shard queue is full (backpressure). The caller keeps ownership
+// of evts — the batch is copied into a hub-pooled slice at enqueue, so a
+// CoAP front can return its decode scratch immediately. The batch is
+// applied asynchronously: a gateway-level rejection (which refuses the
+// whole batch) increments dice_hub_ingest_errors_total.
 func (h *Hub) IngestBatch(home string, evts []event.Event) error {
+	return h.ingest(home, evts, true)
+}
+
+// ingest enqueues one batch op, blocking or shedding on a full queue.
+func (h *Hub) ingest(home string, evts []event.Event, block bool) error {
 	if len(evts) == 0 {
 		return nil
 	}
 	bp := batchPool.Get().(*[]event.Event)
 	*bp = append((*bp)[:0], evts...)
-	err := h.enqueue(home, op{kind: opIngestBatch, evs: bp}, true)
+	err := h.enqueue(home, op{kind: opIngestBatch, evs: bp}, block)
 	if err != nil {
 		*bp = (*bp)[:0]
 		batchPool.Put(bp)
@@ -1006,13 +1007,14 @@ func (h *Hub) Run(ctx context.Context, onAlert func(TenantAlert)) error {
 	}
 }
 
-// Close drains the shards, stops the workers and forwarders, and writes a
-// final checkpoint per tenant. The hub is unusable afterwards.
-func (h *Hub) Close() error {
+// stop marks the hub closed, closes every shard queue and waits for the
+// workers to drain and exit. It returns the tenants registered at that
+// moment, or false when the hub was already closed.
+func (h *Hub) stop() ([]*tenant, bool) {
 	h.mu.Lock()
 	if h.closed {
 		h.mu.Unlock()
-		return nil
+		return nil, false
 	}
 	h.closed = true
 	for _, s := range h.shards {
@@ -1027,6 +1029,16 @@ func (h *Hub) Close() error {
 
 	for _, s := range shards {
 		<-s.done
+	}
+	return ts, true
+}
+
+// Close drains the shards, stops the workers and forwarders, and writes a
+// final checkpoint per tenant. The hub is unusable afterwards.
+func (h *Hub) Close() error {
+	ts, ok := h.stop()
+	if !ok {
+		return nil
 	}
 	var first error
 	for _, t := range ts {
@@ -1053,25 +1065,7 @@ func (h *Hub) Close() error {
 // (Goroutines are still reaped, because the drill shares our process.)
 func (h *Hub) Kill() {
 	h.killed.Store(true)
-	h.mu.Lock()
-	if h.closed {
-		h.mu.Unlock()
-		return
-	}
-	h.closed = true
-	for _, s := range h.shards {
-		close(s.ops)
-	}
-	ts := make([]*tenant, 0, len(h.tenants))
-	for _, t := range h.tenants {
-		ts = append(ts, t)
-	}
-	shards := h.shards
-	h.mu.Unlock()
-
-	for _, s := range shards {
-		<-s.done
-	}
+	ts, _ := h.stop()
 	for _, t := range ts {
 		t.sup.Lock()
 		t.stopForwarderLocked()

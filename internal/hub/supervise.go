@@ -136,20 +136,16 @@ func (t *tenant) stopForwarderLocked() {
 func (h *Hub) onPanic(t *tenant, o op, p any, stack []byte) {
 	h.met.panics.Inc()
 	seq := t.gateway().WALSeq()
-	if o.kind == opIngestBatch && o.evs != nil {
+	if o.kind == opAdvance {
+		//nolint:errcheck // forensics must not block supervision
+		t.dl.Record(wal.Entry(t.home, seq, wal.AdvanceRecord(o.at), p, stack, false))
+	} else {
 		// Which event in the batch was poison is unknown here; capture them
 		// all. WAL replay after restart pins down the exact record.
 		for _, e := range *o.evs {
 			//nolint:errcheck // forensics must not block supervision
 			t.dl.Record(wal.Entry(t.home, seq, wal.IngestRecord(e), p, stack, false))
 		}
-	} else {
-		rec := wal.IngestRecord(o.ev)
-		if o.kind == opAdvance {
-			rec = wal.AdvanceRecord(o.at)
-		}
-		//nolint:errcheck // forensics must not block supervision
-		t.dl.Record(wal.Entry(t.home, seq, rec, p, stack, false))
 	}
 
 	t.suspect.Store(true)

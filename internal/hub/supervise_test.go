@@ -492,58 +492,69 @@ func TestHubCorruptCheckpointColdStart(t *testing.T) {
 	}
 	refStats := ref.Stats()
 
-	cpDir, walDir := t.TempDir(), t.TempDir()
-	mk := func() *Hub {
-		hub, err := New(WithShards(1),
-			WithCheckpointDir(cpDir), WithWALDir(walDir), WithWALSync(wal.SyncNever),
-			WithAlertBuffer(4096))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := hub.Register("casa", cctx, tenantGwOpts...); err != nil {
-			t.Fatal(err)
-		}
-		return hub
-	}
-	hub1 := mk()
-	for _, e := range stream[:n] {
-		if err := hub1.Ingest("casa", e); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := hub1.Close(); err != nil {
-		t.Fatal(err)
-	}
+	// Damage inside the payload fails the CRC; damage to byte 0 destroys
+	// the envelope magic. Both must read as corruption, not as a parse
+	// error that refuses to start the tenant.
+	for name, offset := range map[string]func(size int) int{
+		"payload byte": func(size int) int { return size - 2 },
+		"byte 0":       func(int) int { return 0 },
+	} {
+		t.Run(name, func(t *testing.T) {
+			cpDir, walDir := t.TempDir(), t.TempDir()
+			mk := func() *Hub {
+				hub, err := New(WithShards(1),
+					WithCheckpointDir(cpDir), WithWALDir(walDir), WithWALSync(wal.SyncNever),
+					WithAlertBuffer(4096))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, err := hub.Register("casa", cctx, tenantGwOpts...); err != nil {
+					t.Fatal(err)
+				}
+				return hub
+			}
+			hub1 := mk()
+			for _, e := range stream[:n] {
+				if err := hub1.Ingest("casa", e); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := hub1.Close(); err != nil {
+				t.Fatal(err)
+			}
 
-	cpPath := filepath.Join(cpDir, "casa.ckpt")
-	data, err := os.ReadFile(cpPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	data[len(data)-2] ^= 0x40
-	if err := os.WriteFile(cpPath, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
+			cpPath := filepath.Join(cpDir, "casa.ckpt")
+			data, err := os.ReadFile(cpPath)
+			if err != nil {
+				t.Fatal(err)
+			}
+			data[offset(len(data))] ^= 0x40
+			if err := os.WriteFile(cpPath, data, 0o644); err != nil {
+				t.Fatal(err)
+			}
 
-	hub2 := mk()
-	defer hub2.Close()
-	// CheckpointAll forces the lazy restore (corrupt file → cold start +
-	// full WAL replay) and then overwrites the damage with a good file.
-	if err := hub2.CheckpointAll(); err != nil {
-		t.Fatal(err)
-	}
-	if got := hub2.met.corruptCkpts.Value(); got != 1 {
-		t.Errorf("corrupt checkpoints = %d, want 1", got)
-	}
-	tn, _ := hub2.Tenant("casa")
-	if got := tn.Stats(); got != refStats {
-		t.Errorf("cold-start state diverged:\n hub:  %+v\n solo: %+v", got, refStats)
-	}
-	cp, err := gateway.ReadCheckpoint(cpPath)
-	if err != nil {
-		t.Fatalf("rewritten checkpoint unreadable: %v", err)
-	}
-	if cp.Stats.Events != n {
-		t.Errorf("rewritten checkpoint events = %d, want %d", cp.Stats.Events, n)
+			hub2 := mk()
+			defer hub2.Close()
+			// CheckpointAll forces the lazy restore (corrupt file → cold
+			// start + full WAL replay) and then overwrites the damage with
+			// a good file.
+			if err := hub2.CheckpointAll(); err != nil {
+				t.Fatal(err)
+			}
+			if got := hub2.met.corruptCkpts.Value(); got != 1 {
+				t.Errorf("corrupt checkpoints = %d, want 1", got)
+			}
+			tn, _ := hub2.Tenant("casa")
+			if got := tn.Stats(); got != refStats {
+				t.Errorf("cold-start state diverged:\n hub:  %+v\n solo: %+v", got, refStats)
+			}
+			cp, err := gateway.ReadCheckpoint(cpPath)
+			if err != nil {
+				t.Fatalf("rewritten checkpoint unreadable: %v", err)
+			}
+			if cp.Stats.Events != n {
+				t.Errorf("rewritten checkpoint events = %d, want %d", cp.Stats.Events, n)
+			}
+		})
 	}
 }

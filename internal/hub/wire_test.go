@@ -1,10 +1,12 @@
 package hub
 
 import (
+	"encoding/json"
 	"reflect"
 	"testing"
 	"time"
 
+	"repro/internal/coap"
 	"repro/internal/device"
 	"repro/internal/event"
 	"repro/internal/gateway"
@@ -92,5 +94,78 @@ func TestHubWireFormatsEquivalent(t *testing.T) {
 	}
 	if f := front.malformed.Value(); f != 0 {
 		t.Errorf("malformed counter = %d on a clean link", f)
+	}
+}
+
+// TestHubJSONReportRefusedWhole: a JSON /report is one IngestBatch op. A
+// report whose third reading regresses behind the horizon into an earlier
+// window is refused with 4.00 at the front; one that regresses behind the
+// horizon within the open window is queued (the front cannot see the
+// tenant's horizon) and refused whole by the tenant gateway. Neither
+// applies any of its readings.
+func TestHubJSONReportRefusedWhole(t *testing.T) {
+	h, cctx := trained(t)
+	hub, err := New(WithShards(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer hub.Close()
+	tn, err := hub.Register("casa", cctx, tenantGwOpts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := newFront(hub, "")
+	dev := int(h.Layout().BinaryID(0))
+	advance := func(to time.Duration) {
+		t.Helper()
+		if err := hub.Advance("casa", to); err != nil {
+			t.Fatal(err)
+		}
+		if err := hub.DrainAll(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	report := func(at ...time.Duration) *coap.Message {
+		t.Helper()
+		batch := make([]gateway.WireEvent, len(at))
+		for i, a := range at {
+			batch[i] = gateway.WireEvent{AtMS: a.Milliseconds(), Device: dev, Value: float64(i % 2)}
+		}
+		payload, err := json.Marshal(batch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		req := &coap.Message{Code: coap.CodePOST, Payload: payload}
+		req.SetPath("report/casa")
+		resp := f.handle(req)
+		if err := hub.DrainAll(); err != nil {
+			t.Fatal(err)
+		}
+		return resp
+	}
+
+	advance(10 * time.Minute)
+	before := tn.Stats()
+	resp := report(10*time.Minute+5*time.Second, 10*time.Minute+10*time.Second, 9*time.Minute+30*time.Second)
+	if resp.Code != coap.CodeBadRequest || string(resp.Payload) != gateway.ReasonRejected {
+		t.Errorf("report regressing into an earlier window answered %v %q, want 4.00 %q",
+			resp.Code, resp.Payload, gateway.ReasonRejected)
+	}
+	if got := tn.Stats(); got != before {
+		t.Errorf("refused report changed stats:\n before %+v\n after  %+v", before, got)
+	}
+
+	advance(20*time.Minute + 30*time.Second)
+	before = tn.Stats()
+	errs := hub.met.ingestErrors.Value()
+	resp = report(20*time.Minute+40*time.Second, 20*time.Minute+45*time.Second, 20*time.Minute+20*time.Second)
+	if resp.Code != coap.CodeChanged {
+		t.Errorf("report regressing within the open window answered %v %q, want 2.04", resp.Code, resp.Payload)
+	}
+	if got := tn.Stats(); got != before {
+		t.Errorf("refused batch changed stats:\n before %+v\n after  %+v", before, got)
+	}
+	if got := hub.met.ingestErrors.Value() - errs; got != 1 {
+		t.Errorf("ingest errors grew by %d, want 1", got)
 	}
 }

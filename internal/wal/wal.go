@@ -340,71 +340,21 @@ func (l *Log) Segments() int {
 // Dir returns the log's directory.
 func (l *Log) Dir() string { return l.dir }
 
-// Append frames payload, writes it to the active segment, applies the sync
-// policy, and returns the record's sequence number. The payload is copied
-// before Append returns; the caller may reuse its buffer.
+// Append frames payload as a one-record AppendBatch and returns the
+// record's sequence number. The payload is copied before Append returns;
+// the caller may reuse its buffer.
 func (l *Log) Append(payload []byte) (uint64, error) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.closed {
-		return 0, ErrClosed
-	}
-	if len(payload) > maxRecordSize {
-		return 0, fmt.Errorf("wal: record %d bytes exceeds limit %d", len(payload), maxRecordSize)
-	}
-	if err := l.ensureActiveLocked(); err != nil {
-		return 0, err
-	}
-	seq := l.seq + 1
-	need := frameHeader + len(payload)
-	if cap(l.scratch) < need {
-		l.scratch = make([]byte, need)
-	}
-	buf := l.scratch[:need]
-	binary.LittleEndian.PutUint64(buf[0:8], seq)
-	binary.LittleEndian.PutUint32(buf[8:12], uint32(len(payload)))
-	copy(buf[frameHeader:], payload)
-	sum := crc32.Update(0, castagnoli, buf[0:12])
-	sum = crc32.Update(sum, castagnoli, payload)
-	binary.LittleEndian.PutUint32(buf[12:16], sum)
-	if _, err := l.active.Write(buf); err != nil {
-		return 0, fmt.Errorf("wal: append: %w", err)
-	}
-	l.seq = seq
-	tail := &l.segs[len(l.segs)-1]
-	tail.size += int64(need)
-	l.met.appends.Inc()
-	l.met.bytes.Add(int64(need))
-	l.unsynced++
-	switch l.opts.Sync {
-	case SyncAlways:
-		if err := l.syncLocked(); err != nil {
-			return 0, err
-		}
-	case SyncBatch:
-		if l.unsynced >= l.opts.BatchEvery {
-			if err := l.syncLocked(); err != nil {
-				return 0, err
-			}
-		}
-	}
-	if tail.size >= l.opts.SegmentSize {
-		if err := l.rotateLocked(); err != nil {
-			return 0, err
-		}
-	}
-	return seq, nil
+	return l.AppendBatch([][]byte{payload})
 }
 
-// AppendBatch frames every payload as its own record — identical on disk
-// to len(payloads) individual Appends — but issues one file write for the
-// whole batch and applies the sync policy once at the end, so fsync cost
-// amortizes across the batch (SyncAlways: one flush per batch instead of
-// per record; SyncBatch: the unsynced count advances by the batch size).
-// It returns the sequence number of the last record. Replay cannot tell
-// batched and unbatched appends apart, which is what keeps crash recovery
-// unchanged. Rotation is checked after the batch, so a segment may
-// overshoot SegmentSize by at most one batch.
+// AppendBatch frames every payload as its own record, makes one file
+// write for the whole batch, and applies the sync policy once at the end,
+// so fsync cost amortizes across the batch (SyncAlways: one flush per
+// batch; SyncBatch: the unsynced count advances by the batch size). It
+// returns the sequence number of the last record. Replay sees records, not
+// batches, so how ops were grouped never changes recovery. Rotation is
+// checked after the batch, so a segment may overshoot SegmentSize by at
+// most one batch.
 func (l *Log) AppendBatch(payloads [][]byte) (uint64, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -556,38 +506,10 @@ func (l *Log) rotateLocked() error {
 // the active segment is safe while the log is open as long as no Append
 // runs concurrently — the caller serializes recovery before ingest.
 func (l *Log) Replay(after uint64, fn func(seq uint64, payload []byte) error) error {
-	l.mu.Lock()
-	segs := append([]segment(nil), l.segs...)
-	l.mu.Unlock()
-	var prevLast uint64
-	for i, s := range segs {
-		if i > 0 && s.firstSeq != prevLast+1 {
-			// A torn or corrupt middle segment left a sequence gap; the
-			// records beyond it are not a continuation of the applied
-			// prefix, so replay must stop here.
-			l.met.corrupt.Inc()
-			return nil
-		}
-		last, _, err := l.scanSegment(&s, after, func(seq uint64, payload []byte) error {
-			l.met.replayed.Inc()
-			return fn(seq, payload)
-		})
-		if err != nil {
-			return err
-		}
-		if last == 0 && s.size > segHeaderSize {
-			// Nothing valid in a non-empty segment: the chain is broken
-			// here; later segments would have a sequence gap.
-			l.met.corrupt.Inc()
-			return nil
-		}
-		if last != 0 {
-			prevLast = last
-		} else {
-			prevLast = s.firstSeq - 1
-		}
-	}
-	return nil
+	return l.walk(after, func(seq uint64, payload []byte) error {
+		l.met.replayed.Inc()
+		return fn(seq, payload)
+	})
 }
 
 // ExportTail collects copies of every durable record with sequence number
@@ -598,26 +520,38 @@ func (l *Log) Replay(after uint64, fn func(seq uint64, payload []byte) error) er
 // prefix a local recovery would have applied. Safe while the log is open as
 // long as no Append runs concurrently — the exporter drains ingest first.
 func (l *Log) ExportTail(after uint64) ([][]byte, error) {
+	var out [][]byte
+	err := l.walk(after, func(_ uint64, payload []byte) error {
+		out = append(out, append([]byte(nil), payload...))
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// walk feeds every durable record past after to fn, segment by segment,
+// stopping without error (counted as corrupt) where the chain breaks: a
+// sequence gap between segments, or a non-empty segment with no valid
+// record, means what follows is not a continuation of the applied prefix.
+func (l *Log) walk(after uint64, fn func(seq uint64, payload []byte) error) error {
 	l.mu.Lock()
 	segs := append([]segment(nil), l.segs...)
 	l.mu.Unlock()
-	var out [][]byte
 	var prevLast uint64
 	for i, s := range segs {
 		if i > 0 && s.firstSeq != prevLast+1 {
 			l.met.corrupt.Inc()
-			return out, nil
-		}
-		last, _, err := l.scanSegment(&s, after, func(seq uint64, payload []byte) error {
-			out = append(out, append([]byte(nil), payload...))
 			return nil
-		})
+		}
+		last, _, err := l.scanSegment(&s, after, fn)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		if last == 0 && s.size > segHeaderSize {
 			l.met.corrupt.Inc()
-			return out, nil
+			return nil
 		}
 		if last != 0 {
 			prevLast = last
@@ -625,7 +559,7 @@ func (l *Log) ExportTail(after uint64) ([][]byte, error) {
 			prevLast = s.firstSeq - 1
 		}
 	}
-	return out, nil
+	return nil
 }
 
 // SkipTo advances an empty log's sequence counter so its first append is
