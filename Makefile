@@ -3,9 +3,13 @@
 
 GO ?= go
 
-.PHONY: check vet vet-perfbench staticcheck build test race race-telemetry race-hub race-cluster race-drift race-timing race-scenarios bench bench-scan bench-eval bench-hub bench-recovery bench-cluster bench-drift bench-timing bench-scenarios fuzz-smoke perf-gate
+.PHONY: check fmt vet vet-perfbench staticcheck build test race race-telemetry race-hub race-cluster race-drift race-timing race-scenarios bench bench-scan bench-eval bench-hub bench-recovery bench-cluster bench-drift bench-timing bench-scenarios fuzz-smoke perf-gate
 
-check: vet vet-perfbench staticcheck build race-telemetry race-hub race-cluster race-drift race-timing race-scenarios race fuzz-smoke perf-gate
+check: fmt vet vet-perfbench staticcheck build race-telemetry race-hub race-cluster race-drift race-timing race-scenarios race fuzz-smoke perf-gate
+
+# Every Go file must be gofmt-clean; the gate lists the files that are not.
+fmt:
+	@test -z "$$(gofmt -l .)" || { gofmt -l .; echo "run gofmt -w on the files above"; exit 1; }
 
 vet:
 	$(GO) vet ./...
@@ -125,10 +129,20 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz 'FuzzMessageUnmarshal$$' -fuzztime 5s ./internal/coap/
 	$(GO) test -run '^$$' -fuzz 'FuzzIntervalSketch$$' -fuzztime 5s ./internal/markov/
 
-# CI perf gate: regenerate the hub benchmark and fail on a >15% regression
-# of the binary-path speedup vs the committed BENCH_hub.json. The gate
-# compares the binary/JSON ratio, not raw events/sec, so it is stable
-# across machines of different speeds.
+# CI perf gate: regenerate five benchmarks into /tmp and compare each with
+# its committed baseline through dice-benchdiff, failing on a regression
+# beyond the tolerance (15% unless set):
+#   - hub: the binary/JSON ingest speedup ratio (BENCH_hub.json);
+#   - cluster: federation efficiency, cluster over solo throughput, at a
+#     40% tolerance (BENCH_cluster.json);
+#   - drift: the adapter's false-alarm reduction, with zero missed faults
+#     (BENCH_drift.json);
+#   - timing: the timing check's catch rate over structurally missed
+#     faults, with zero flagged clean windows (BENCH_timing.json);
+#   - scenarios: zero benign false alarms and the storm-2 all-named rate
+#     (BENCH_scenarios.json).
+# Each gate compares a ratio or a count, not raw throughput, so it is
+# stable across machines of different speeds.
 perf-gate:
 	$(GO) run ./cmd/dice-eval -exp hub -hubjson /tmp/dice-benchdiff-hub.json >/dev/null
 	$(GO) run ./cmd/dice-benchdiff -mode hub -baseline BENCH_hub.json -fresh /tmp/dice-benchdiff-hub.json

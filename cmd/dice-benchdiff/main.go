@@ -119,7 +119,7 @@ type scenariosBench struct {
 }
 
 func main() {
-	mode := flag.String("mode", "hub", "which benchmark schema to compare: hub or eval")
+	mode := flag.String("mode", "hub", "which benchmark schema to compare: hub, eval, cluster, drift, timing, or scenarios")
 	baseline := flag.String("baseline", "", "committed baseline JSON")
 	fresh := flag.String("fresh", "", "freshly generated JSON")
 	tolerance := flag.Float64("tolerance", 0.15, "allowed fractional regression before failing")

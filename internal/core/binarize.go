@@ -114,20 +114,15 @@ func (b *Binarizer) DeviceForBit(bit int) (device.ID, error) {
 // DevicesForBits maps a set of differing bits to the deduplicated set of
 // owning sensors, preserving ascending device-ID order.
 func (b *Binarizer) DevicesForBits(bits []int) ([]device.ID, error) {
-	seen := make(map[device.ID]bool, len(bits))
 	var out []device.ID
 	for _, bit := range bits {
 		id, err := b.DeviceForBit(bit)
 		if err != nil {
 			return nil, err
 		}
-		if !seen[id] {
-			seen[id] = true
-			out = append(out, id)
-		}
+		out = append(out, id)
 	}
-	sortIDs(out)
-	return out, nil
+	return normIDs(out), nil
 }
 
 func sortIDs(ids []device.ID) {

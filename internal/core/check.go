@@ -33,8 +33,8 @@ type Finding struct {
 }
 
 // Check is one named unit of the detection pipeline. The detector runs its
-// checks in order on every non-episode window (and as the probe during
-// identification episodes) and acts on the first non-nil Finding, so
+// checks in order on every window, inside identification episodes too,
+// and acts on the first non-nil Finding, so
 // order encodes precedence: structure before pace, correlation before
 // transitions. Run must not allocate on the no-finding path — the
 // clean-window hot path stays allocation-free only if every check does.

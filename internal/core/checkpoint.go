@@ -54,35 +54,36 @@ func exportEpisode(ep *episode) *EpisodeState {
 	return &EpisodeState{
 		Cause:          ep.cause,
 		DetectedWindow: ep.detectedWindow,
-		Intersection:   setToSlice(ep.intersection),
+		Intersection:   copyIDs(ep.intersection),
 		Stalls:         ep.stalls,
 		NormalStreak:   ep.normalStreak,
 		Length:         ep.length,
 		Corroboration:  ep.corroboration,
 		MissingEffect:  ep.missingEffect,
 		SurplusEffect:  ep.surplusEffect,
-		OpeningActs:    setToSlice(ep.openingActs),
+		OpeningActs:    copyIDs(ep.openingActs),
 		OpeningPrev:    ep.openingPrev,
-		FiredActs:      setToSlice(ep.firedActs),
+		FiredActs:      copyIDs(ep.firedActs),
 		Trace:          ep.trace.Clone(),
 	}
 }
 
-// restoreEpisode rebuilds one episode from its snapshot.
+// restoreEpisode rebuilds one episode from its snapshot. A snapshot comes
+// from outside the program, so its device sets are normalized.
 func restoreEpisode(eps *EpisodeState) *episode {
 	return &episode{
 		cause:          eps.Cause,
 		detectedWindow: eps.DetectedWindow,
-		intersection:   toSet(eps.Intersection),
+		intersection:   idSet(eps.Intersection),
 		stalls:         eps.Stalls,
 		normalStreak:   eps.NormalStreak,
 		length:         eps.Length,
 		corroboration:  eps.Corroboration,
 		missingEffect:  eps.MissingEffect,
 		surplusEffect:  eps.SurplusEffect,
-		openingActs:    toSet(eps.OpeningActs),
+		openingActs:    idSet(eps.OpeningActs),
 		openingPrev:    eps.OpeningPrev,
-		firedActs:      toSet(eps.FiredActs),
+		firedActs:      idSet(eps.FiredActs),
 		trace:          eps.Trace.Clone(),
 	}
 }

@@ -107,8 +107,8 @@ type Result struct {
 	// MainGroup is the exactly matching group, or NoGroup.
 	MainGroup int
 	// Violation is the check that flagged this window (CheckNone if clean).
-	// During an identification episode only the episode-opening window
-	// carries the original cause; probe windows report their own findings.
+	// Inside an identification episode each window reports its own
+	// finding; the episode keeps the cause of its opening window.
 	Violation CheckKind
 	// Detected is true exactly on a window that opens an episode (the
 	// first violation, or — with MaxFaults > 1 — a violation disjoint from
@@ -131,18 +131,20 @@ type Result struct {
 	Timing Timing
 }
 
-// episode tracks one in-progress identification.
+// episode tracks one in-progress identification. Its device sets are
+// ascending and duplicate-free, and are replaced, never edited in place, so
+// one slice may safely back more than one of them.
 type episode struct {
 	cause          CheckKind
 	detectedWindow int
-	intersection   map[device.ID]bool
+	intersection   []device.ID
 	stalls         int
 	normalStreak   int
 	length         int
 	// corroboration counts the informative windows that fed this episode,
-	// including the opening one. Multi-fault mode requires a minimum
-	// corroboration before alerting, so one-off transition glitches
-	// (a benign occupancy change clipping a window) die quietly.
+	// including the opening one. An alert needs at least the corroboration
+	// floor (see minCorroboration), so with numThre > 1 one-off transition
+	// glitches (a benign occupancy change clipping a window) die quietly.
 	corroboration int
 	// missingEffect is true when the opening diff showed only bits that
 	// were expected to be set but were not — the signature of a missing
@@ -151,13 +153,13 @@ type episode struct {
 	missingEffect bool
 	surplusEffect bool
 	// openingActs are the actuators that fired in the opening window.
-	openingActs map[device.ID]bool
+	openingActs []device.ID
 	// openingPrev is the previous-window group at the opening window.
 	openingPrev int
 	// firedActs collects every actuator that activated during the episode
 	// (including the opening window); a silent-but-expected actuator whose
 	// effect sensors make up the suspect set gets the blame.
-	firedActs map[device.ID]bool
+	firedActs []device.ID
 	// trace accumulates the Explain record reported with the alert.
 	trace *Explain
 }
@@ -171,11 +173,9 @@ type Detector struct {
 
 	prevGroup int
 	prevActs  []device.ID
-	// eps holds the open identification episodes in opening order. With
-	// MaxFaults == 1 (the paper's numThre default) at most one episode is
-	// ever open and the behavior matches the single-fault pipeline bit for
-	// bit; with MaxFaults > 1 up to MaxFaults episodes run concurrently,
-	// each tracking one suspected fault.
+	// eps holds the open identification episodes in opening order, at
+	// most MaxFaults (the paper's numThre) of them, each tracking one
+	// suspected fault. numThre = 1 is the same engine with a cap of one.
 	eps []*episode
 
 	// checks is the ordered detection pipeline; DefaultChecks unless the
@@ -216,10 +216,10 @@ type Detector struct {
 // actuator acted recently" when attributing missing effects.
 const recentActWindows = 15
 
-// minCorroboration is how many informative windows a multi-fault episode
-// needs before it may alert; episodes that run out of patience below it are
-// dismissed without alerting. Single-fault mode (MaxFaults == 1) does not
-// apply it, preserving the paper's original conclusion rule.
+// minCorroboration is how many informative windows an episode needs before
+// it may alert when numThre > 1; episodes that run out of patience below it
+// are dismissed without alerting. With numThre = 1 the floor is 1 — the
+// opening window — which is the paper's original conclusion rule.
 const minCorroboration = 2
 
 // newDetector is the single construction path behind New.
@@ -356,67 +356,50 @@ func (d *Detector) Process(o *window.Observation) (Result, error) {
 		}
 	}
 
-	if len(d.eps) > 0 {
-		// §3.4: during the repetition, skip the checks and go straight to
-		// identification.
-		d.identifyStep(v, cands, o, &res)
-		d.advance(cands.Main, o)
-		return res, nil
-	}
-
-	// The ordered check pipeline: one clock measurement around the whole
-	// run, charged to the stage the window's shape implies (no main group
-	// means the cost went into correlation-style identification; otherwise
-	// it went into transition checking).
+	// The ordered check pipeline runs on every window; a window with a
+	// finding, or inside an episode, then takes one step of identification
+	// (§3.4). One clock measurement covers both, charged to identification
+	// inside an episode or when no main group matched, and to transition
+	// checking otherwise.
 	t2 := time.Now()
+	inEpisode := len(d.eps) > 0
 	finding := d.runChecks(CheckInput{Obs: o, Vec: v, Cands: cands})
+	if finding != nil || inEpisode {
+		d.feed(finding, cands, o, &res)
+		d.concludeEpisodes(&res)
+	}
 	cost := time.Since(t2)
-	if cands.Main == NoGroup {
+	if inEpisode || cands.Main == NoGroup {
 		res.Timing.Identify = cost
 	} else {
 		res.Timing.Transition = cost
-	}
-
-	if finding != nil {
-		d.met.violation(finding.Cause)
-		res.Violation = finding.Cause
-		res.Detected = true
-		res.Identifying = true
-		ep := d.openEpisode(finding, cands, o)
-		d.eps = append(d.eps[:0], ep)
-		res.Probable = setToSlice(ep.intersection)
-		ep.trace.addStep(ExplainStep{
-			Window:       o.Index,
-			Violation:    finding.Cause,
-			Suspects:     finding.Suspects,
-			Intersection: res.Probable,
-		})
-		d.concludeEpisodes(&res)
 	}
 
 	d.advance(cands.Main, o)
 	return res, nil
 }
 
-// openEpisode builds a fresh episode from a finding. The caller appends it
-// to d.eps and records the opening Explain step.
-func (d *Detector) openEpisode(f *Finding, cands Candidates, o *window.Observation) *episode {
-	fired := toSet(o.Actuated)
+// openEpisode builds a fresh episode from a finding whose normalized
+// suspects are sus. The caller appends it to d.eps and records the opening
+// Explain step.
+func (d *Detector) openEpisode(f *Finding, sus []device.ID, cands Candidates, o *window.Observation) *episode {
+	acts := idSet(o.Actuated)
+	var recent []device.ID
 	for act, at := range d.recentActs {
 		if o.Index-at <= recentActWindows {
-			fired[act] = true
+			recent = append(recent, act)
 		}
 	}
 	return &episode{
 		cause:          f.Cause,
 		detectedWindow: o.Index,
-		intersection:   toSet(f.Suspects),
+		intersection:   sus,
 		corroboration:  1,
 		missingEffect:  d.lastDiffMissingOnly,
 		surplusEffect:  d.lastDiffSurplusOnly,
-		openingActs:    toSet(o.Actuated),
+		openingActs:    acts,
 		openingPrev:    d.prevGroup,
-		firedActs:      fired,
+		firedActs:      unionIDs(acts, normIDs(recent)),
 		trace: &Explain{
 			Cause:          f.Cause,
 			DetectedWindow: o.Index,
@@ -498,7 +481,7 @@ func (d *Detector) diffSuspects(v *bitvec.Vec, groups []int) []device.ID {
 			nearest = append(nearest, gid)
 		}
 	}
-	seen := make(map[device.ID]bool)
+	var ids []device.ID
 	missingOnly := len(nearest) > 0
 	surplusOnly := len(nearest) > 0
 	for _, gid := range nearest {
@@ -515,133 +498,86 @@ func (d *Detector) diffSuspects(v *bitvec.Vec, groups []int) []device.ID {
 				surplusOnly = false
 			}
 			if id, err := d.bin.DeviceForBit(bit); err == nil {
-				seen[id] = true
+				ids = append(ids, id)
 			}
 		}
 	}
 	d.lastDiffMissingOnly = missingOnly
 	d.lastDiffSurplusOnly = surplusOnly
-	return setToSlice(seen)
+	return normIDs(ids)
 }
 
-// identifyStep runs one repetition of the identification loop (§3.4): probe
-// the window for its own probable-fault set, feed the open episodes, and
-// conclude the ones whose intersection is small enough or whose patience
-// ran out.
-func (d *Detector) identifyStep(v *bitvec.Vec, cands Candidates, o *window.Observation, res *Result) {
-	t0 := time.Now()
-	defer func() { res.Timing.Identify = time.Since(t0) }()
-
+// feed runs one repetition of the identification loop (§3.4) on a window
+// that has a finding f or falls inside an episode. Every episode whose pool
+// overlaps the finding's suspects narrows on it. Evidence no open episode
+// covers opens a new episode while fewer than MaxFaults (the paper's
+// numThre) are open, and at that cap is a stall for every episode, since
+// numThre says it cannot be yet another fault. Episodes whose pools nest
+// then merge. numThre = 1 is this engine with a cap of one, and differs in
+// one rule: evidence that misses its lone episode still counts as
+// informative, where with numThre > 1 each episode treats evidence that
+// misses it as quiet — in a storm the faults take turns corrupting
+// windows, and counting a rival fault's evidence against an episode would
+// conclude everything prematurely.
+func (d *Detector) feed(f *Finding, cands Candidates, o *window.Observation, res *Result) {
 	res.Identifying = true
-	for _, ep := range d.eps {
-		ep.length++
-		for _, act := range o.Actuated {
-			ep.firedActs[act] = true
+	if len(d.eps) > 0 {
+		acts := idSet(o.Actuated)
+		for _, ep := range d.eps {
+			ep.length++
+			ep.firedActs = unionIDs(ep.firedActs, acts)
 		}
 	}
-
-	f := d.probe(v, cands, o)
-	if f != nil {
-		res.Violation = f.Cause
-		d.met.violation(f.Cause)
-	}
-
-	if d.cfg.MaxFaults <= 1 {
-		d.feedSingle(f, o, res)
-	} else {
-		d.feedMulti(f, cands, o, res)
-		res.Probable = d.probableUnion()
-	}
-	d.concludeEpisodes(res)
-}
-
-// feedSingle is the single-fault identification step: intersect the one
-// open episode with the window's suspect set, exactly as the paper's §3.4
-// repetition describes.
-func (d *Detector) feedSingle(f *Finding, o *window.Observation, res *Result) {
-	ep := d.eps[0]
-	if f != nil {
-		ep.normalStreak = 0
-		ep.corroboration++
-		next := intersect(ep.intersection, toSet(f.Suspects))
-		if len(next) == 0 {
-			// Disjoint evidence: hold the current intersection, note the
-			// stall.
-			ep.stalls++
-		} else {
-			ep.intersection = next
-		}
-	} else {
-		ep.normalStreak++
-	}
-	res.Probable = setToSlice(ep.intersection)
-	if f != nil {
-		ep.trace.addStep(ExplainStep{
-			Window:       o.Index,
-			Violation:    f.Cause,
-			Suspects:     f.Suspects,
-			Intersection: res.Probable,
-		})
-	}
-}
-
-// feedMulti routes one window's evidence across the concurrent episodes:
-// every episode whose suspect pool overlaps the window's suspects narrows
-// on it; evidence disjoint from all open episodes splits off a new episode
-// (up to MaxFaults); and episodes whose pools collapse into one another
-// merge. Episodes untouched by an informative window treat it as quiet —
-// in a storm the faults take turns corrupting windows, and counting a
-// rival fault's evidence as a stall would conclude everything prematurely.
-func (d *Detector) feedMulti(f *Finding, cands Candidates, o *window.Observation, res *Result) {
 	if f == nil {
 		for _, ep := range d.eps {
 			ep.normalStreak++
 		}
+		res.Probable = d.probableUnion()
 		return
 	}
-	sus := toSet(f.Suspects)
+	res.Violation = f.Cause
+	d.met.violation(f.Cause)
+
+	sus := idSet(f.Suspects)
+	step := ExplainStep{Window: o.Index, Violation: f.Cause, Suspects: f.Suspects}
 	fed := false
 	for _, ep := range d.eps {
-		next := intersect(ep.intersection, sus)
-		if len(next) == 0 {
+		switch next := interIDs(ep.intersection, sus); {
+		case next != nil:
+			ep.intersection = next
+			fed = true
+		case d.cfg.MaxFaults > 1:
 			ep.normalStreak++
 			continue
+		default:
+			// numThre = 1: disjoint evidence still informs the lone
+			// episode, which stalls below at the cap.
 		}
-		ep.intersection = next
 		ep.normalStreak = 0
 		ep.corroboration++
-		ep.trace.addStep(ExplainStep{
-			Window:       o.Index,
-			Violation:    f.Cause,
-			Suspects:     f.Suspects,
-			Intersection: setToSlice(next),
-		})
-		fed = true
+		step.Intersection = ep.intersection
+		ep.trace.addStep(step)
 	}
-	if !fed {
-		if len(d.eps) < d.cfg.MaxFaults {
-			// Split: evidence about a device set no open episode covers
-			// opens a concurrent episode for the (suspected) second fault.
-			ep := d.openEpisode(f, cands, o)
-			d.eps = append(d.eps, ep)
-			ep.trace.addStep(ExplainStep{
-				Window:       o.Index,
-				Violation:    f.Cause,
-				Suspects:     f.Suspects,
-				Intersection: setToSlice(ep.intersection),
-			})
+	switch {
+	case fed:
+	case len(d.eps) < d.cfg.MaxFaults:
+		// A split: evidence about devices no open episode covers.
+		if len(d.eps) > 0 {
 			d.met.concurrentEps.Inc()
-			res.Detected = true
-		} else {
-			// At the episode cap, evidence nobody covers is a stall for
-			// everyone: the numThre bound says it cannot be yet another
-			// fault.
-			for _, ep := range d.eps {
-				ep.stalls++
-			}
+		}
+		ep := d.openEpisode(f, sus, cands, o)
+		d.eps = append(d.eps, ep)
+		step.Intersection = ep.intersection
+		ep.trace.addStep(step)
+		res.Detected = true
+	default:
+		// At the cap.
+		for _, ep := range d.eps {
+			ep.stalls++
 		}
 	}
 	d.mergeEpisodes(o.Index)
+	res.Probable = d.probableUnion()
 }
 
 // mergeEpisodes folds together episodes whose suspect pools have collapsed
@@ -649,13 +585,10 @@ func (d *Detector) feedMulti(f *Finding, cands Candidates, o *window.Observation
 // are explaining the same fault, so the earlier episode absorbs the later
 // one, keeping the narrower pool and the combined corroboration.
 func (d *Detector) mergeEpisodes(windowIdx int) {
-	if len(d.eps) < 2 {
-		return
-	}
 	for i := 0; i < len(d.eps); i++ {
 		for j := i + 1; j < len(d.eps); {
 			a, b := d.eps[i], d.eps[j]
-			if !mapSubset(a.intersection, b.intersection) && !mapSubset(b.intersection, a.intersection) {
+			if !subsetOf(a.intersection, b.intersection) && !subsetOf(b.intersection, a.intersection) {
 				j++
 				continue
 			}
@@ -663,58 +596,34 @@ func (d *Detector) mergeEpisodes(windowIdx int) {
 				a.intersection = b.intersection
 			}
 			a.corroboration += b.corroboration
-			if b.stalls < a.stalls {
-				a.stalls = b.stalls
-			}
-			if b.normalStreak < a.normalStreak {
-				a.normalStreak = b.normalStreak
-			}
-			for act := range b.firedActs {
-				a.firedActs[act] = true
-			}
+			a.stalls = min(a.stalls, b.stalls)
+			a.normalStreak = min(a.normalStreak, b.normalStreak)
+			a.firedActs = unionIDs(a.firedActs, b.firedActs)
 			a.trace.addStep(ExplainStep{
 				Window:       windowIdx,
 				Violation:    b.cause,
-				Suspects:     setToSlice(b.intersection),
-				Intersection: setToSlice(a.intersection),
+				Suspects:     b.intersection,
+				Intersection: a.intersection,
 			})
 			d.eps = append(d.eps[:j], d.eps[j+1:]...)
 		}
 	}
 }
 
-// probableUnion returns the sorted union of every open episode's suspect
-// pool.
+// probableUnion returns the ascending union of every open episode's pool.
+// Built up from nil by unionIDs, it never aliases a pool.
 func (d *Detector) probableUnion() []device.ID {
-	switch len(d.eps) {
-	case 0:
-		return nil
-	case 1:
-		return setToSlice(d.eps[0].intersection)
-	}
-	u := make(map[device.ID]bool)
+	var u []device.ID
 	for _, ep := range d.eps {
-		for id := range ep.intersection {
-			u[id] = true
-		}
+		u = unionIDs(u, ep.intersection)
 	}
-	return setToSlice(u)
-}
-
-// probe evaluates a window during identification: the same check pipeline,
-// but it never opens a new episode by itself — it only yields this window's
-// finding. A clean window returns nil.
-func (d *Detector) probe(v *bitvec.Vec, cands Candidates, o *window.Observation) *Finding {
-	return d.runChecks(CheckInput{Obs: o, Vec: v, Cands: cands})
+	return u
 }
 
 // concludeEpisodes closes every episode that is ready — intersection small
 // enough, a weighted device demanding attention, or patience limits hit —
 // and appends one Alert per concluded episode to the result.
 func (d *Detector) concludeEpisodes(res *Result) {
-	if len(d.eps) == 0 {
-		return
-	}
 	keep := d.eps[:0]
 	for _, ep := range d.eps {
 		alert, done := d.concludeOne(ep, res)
@@ -736,58 +645,49 @@ func (d *Detector) concludeEpisodes(res *Result) {
 }
 
 // concludeOne decides whether one episode is ready to close and, if so,
-// builds its alert (nil when the episode is dismissed without alerting).
+// builds its alert (nil when the episode is dismissed without alerting). An
+// episode is ready when its pool has narrowed to one device with at least
+// the corroboration floor behind it, when a weighted device demands
+// attention, or when its patience runs out. The floor is 1 (the opening
+// window) with numThre = 1 and minCorroboration with numThre > 1.
 func (d *Detector) concludeOne(ep *episode, res *Result) (*Alert, bool) {
-	multi := d.cfg.MaxFaults > 1
 	size := len(ep.intersection)
 	early := false
 	if d.cfg.WeightAlarm > 0 {
-		for id := range ep.intersection {
+		for _, id := range ep.intersection {
 			if d.cfg.Weights[id] >= d.cfg.WeightAlarm {
 				early = true
 				break
 			}
 		}
 	}
-	var done bool
-	if multi {
-		// Per-fault alerts: narrow to a single device, with enough
-		// corroborating windows to rule out a one-off glitch.
-		done = size == 1 && ep.corroboration >= minCorroboration
-	} else {
-		done = size <= d.cfg.MaxFaults && size > 0
+	floor := 1
+	if d.cfg.MaxFaults > 1 {
+		floor = minCorroboration
 	}
-	if !done && early {
-		done = true
-	}
-	if !done && (ep.stalls >= d.cfg.MaxStalls ||
+	done := (size == 1 && ep.corroboration >= floor) || early ||
+		ep.stalls >= d.cfg.MaxStalls ||
 		ep.normalStreak >= d.cfg.IdentifyGiveUp ||
-		ep.length >= d.cfg.MaxIdentifyWindows) {
-		done = true
-	}
+		ep.length >= d.cfg.MaxIdentifyWindows
 	if !done {
 		return nil, false
 	}
-	if multi && !early && ep.corroboration < minCorroboration {
-		// A patience-concluded episode that only ever saw its opening
-		// window: a transient (a benign occupancy shift, a splice edge),
-		// not a fault. Dismiss without alerting.
-		d.met.episodes.Inc()
-		d.met.episodeLen.Observe(float64(res.WindowIndex - ep.detectedWindow + 1))
-		d.met.suspects.Observe(float64(size))
+	d.met.episodes.Inc()
+	d.met.episodeLen.Observe(float64(res.WindowIndex - ep.detectedWindow + 1))
+	d.met.suspects.Observe(float64(size))
+	if !early && ep.corroboration < floor {
+		// A patience-concluded episode below the floor: a transient (a
+		// benign occupancy shift, a splice edge), not a fault. Dismiss
+		// without alerting.
 		return nil, true
 	}
-	devices := setToSlice(ep.intersection)
-	devices = d.attributeToActuator(ep, devices)
+	devices := d.attributeToActuator(ep, copyIDs(ep.intersection))
 	if d.cfg.Attest != nil {
 		devices = d.cfg.Attest(devices)
 		sortIDs(devices)
 		if len(devices) == 0 {
 			// Every probable device attested healthy: dismiss the episode
 			// without an alert.
-			d.met.episodes.Inc()
-			d.met.episodeLen.Observe(float64(res.WindowIndex - ep.detectedWindow + 1))
-			d.met.suspects.Observe(float64(size))
 			return nil, true
 		}
 	}
@@ -801,9 +701,6 @@ func (d *Detector) concludeOne(ep *episode, res *Result) (*Alert, bool) {
 		EarlyWeight:    early && size > 1,
 		Explain:        trace,
 	}
-	d.met.episodes.Inc()
-	d.met.episodeLen.Observe(float64(res.WindowIndex - ep.detectedWindow + 1))
-	d.met.suspects.Observe(float64(size))
 	d.met.named.Add(int64(len(devices)))
 	d.met.alert(ep.cause)
 	return alert, true
@@ -836,9 +733,9 @@ func (d *Detector) attributeToActuator(ep *episode, devices []device.ID) []devic
 		// surplus effect bits appeared without the occupancy bits that
 		// accompany a legitimate activation (a legitimate firing lands in
 		// a trained group and raises no violation at all).
-		dead := ep.missingEffect && !ep.openingActs[id] &&
+		dead := ep.missingEffect && !hasID(ep.openingActs, id) &&
 			ep.openingPrev != NoGroup && d.ctx.G2A().Possible(ep.openingPrev, slot)
-		spurious := ep.surplusEffect && ep.openingActs[id]
+		spurious := ep.surplusEffect && hasID(ep.openingActs, id)
 		if !dead && !spurious {
 			continue
 		}
@@ -871,45 +768,70 @@ func subsetOf(sub, super []device.ID) bool {
 	return true
 }
 
-// mapSubset reports whether every key of sub is in super.
-func mapSubset(sub, super map[device.ID]bool) bool {
-	if len(sub) > len(super) {
-		return false
-	}
-	for id := range sub {
-		if !super[id] {
-			return false
-		}
-	}
-	return true
+// hasID reports whether sorted ids contains id.
+func hasID(ids []device.ID, id device.ID) bool {
+	return subsetOf([]device.ID{id}, ids)
 }
 
-func toSet(ids []device.ID) map[device.ID]bool {
-	m := make(map[device.ID]bool, len(ids))
+// normIDs sorts ids in place and drops duplicates, giving the ascending,
+// duplicate-free form every device set in an episode is kept in.
+func normIDs(ids []device.ID) []device.ID {
+	sortIDs(ids)
+	out := ids[:0]
 	for _, id := range ids {
-		m[id] = true
-	}
-	return m
-}
-
-func intersect(a, b map[device.ID]bool) map[device.ID]bool {
-	out := make(map[device.ID]bool)
-	for id := range a {
-		if b[id] {
-			out[id] = true
+		if len(out) == 0 || out[len(out)-1] != id {
+			out = append(out, id)
 		}
 	}
 	return out
 }
 
-func setToSlice(m map[device.ID]bool) []device.ID {
-	if len(m) == 0 {
-		return nil
+// idSet returns a normalized copy of ids.
+func idSet(ids []device.ID) []device.ID {
+	return normIDs(copyIDs(ids))
+}
+
+// interIDs returns the intersection of two sorted sets, freshly allocated
+// and nil when empty.
+func interIDs(a, b []device.ID) []device.ID {
+	var out []device.ID
+	for i, j := 0, 0; i < len(a) && j < len(b); {
+		switch {
+		case a[i] < b[j]:
+			i++
+		case a[i] > b[j]:
+			j++
+		default:
+			out = append(out, a[i])
+			i++
+			j++
+		}
 	}
-	out := make([]device.ID, 0, len(m))
-	for id := range m {
-		out = append(out, id)
-	}
-	sortIDs(out)
 	return out
+}
+
+// unionIDs returns the union of two sorted sets: a itself when b adds
+// nothing, a fresh slice otherwise.
+func unionIDs(a, b []device.ID) []device.ID {
+	if subsetOf(b, a) {
+		return a
+	}
+	out := make([]device.ID, 0, len(a)+len(b))
+	i, j := 0, 0
+	for i < len(a) && j < len(b) {
+		switch {
+		case a[i] < b[j]:
+			out = append(out, a[i])
+			i++
+		case a[i] > b[j]:
+			out = append(out, b[j])
+			j++
+		default:
+			out = append(out, a[i])
+			i++
+			j++
+		}
+	}
+	out = append(out, a[i:]...)
+	return append(out, b[j:]...)
 }

@@ -37,7 +37,7 @@ type Explain struct {
 	// bucket counts. Nil for every other cause.
 	Timing *TimingEvidence `json:"timing,omitempty"`
 	// Steps is the bounded intersection history: the opening window plus
-	// every informative probe window, newest last. TruncatedSteps counts
+	// every later informative window, newest last. TruncatedSteps counts
 	// informative windows dropped once the bound was hit.
 	Steps          []ExplainStep `json:"steps,omitempty"`
 	TruncatedSteps int           `json:"truncated_steps,omitempty"`
@@ -47,7 +47,7 @@ type Explain struct {
 type ExplainStep struct {
 	// Window is the window index.
 	Window int `json:"window"`
-	// Violation is what this window's probe found.
+	// Violation is what this window's checks found.
 	Violation CheckKind `json:"violation"`
 	// Suspects is the window's own probable-fault set.
 	Suspects []device.ID `json:"suspects,omitempty"`

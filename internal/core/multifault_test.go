@@ -67,8 +67,8 @@ func TestMultiFaultConcurrentEpisodes(t *testing.T) {
 }
 
 // TestMultiFaultSingleModeUnchanged: with MaxFaults=1 (the default), the
-// same interleaved storm must flow through the legacy single-episode
-// path — never more than one open episode.
+// episode engine runs with a cap of one — the same interleaved storm never
+// holds more than one episode open.
 func TestMultiFaultSingleModeUnchanged(t *testing.T) {
 	l, ctx := trainAlternating(t)
 	d := newTestDetector(t, ctx, Config{})

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 	"time"
@@ -155,10 +156,46 @@ func TestTrainerDetectorClosure(t *testing.T) {
 	}
 }
 
-// TestAlertDevicesSortedProperty: alerts always list devices in ascending
-// ID order (the documented contract).
+// shuffledCheck flags every window, naming its suspects out of order and
+// with duplicates: {4, 0, 4, 2, 0} on even windows, {2, 4, 2} on odd ones.
+type shuffledCheck struct{}
+
+func (shuffledCheck) Name() string { return "shuffled" }
+
+func (shuffledCheck) Cause() Cause { return CheckG2A }
+
+func (shuffledCheck) Run(_ *Detector, in CheckInput) *Finding {
+	if in.Obs.Index%2 == 0 {
+		return &Finding{Cause: CheckG2A, Suspects: []device.ID{4, 0, 4, 2, 0}}
+	}
+	return &Finding{Cause: CheckG2A, Suspects: []device.ID{2, 4, 2}}
+}
+
+// TestAlertDevicesSorted: probable sets, alert devices and Explain
+// intersections are always ascending and duplicate-free (the documented
+// contract), for a chaotic window and for a custom check whose suspects
+// arrive out of order with duplicates.
 func TestAlertDevicesSorted(t *testing.T) {
 	l, ctx := trainAlternating(t)
+	check := func(what string, ids []device.ID) {
+		t.Helper()
+		for i := 1; i < len(ids); i++ {
+			if ids[i] <= ids[i-1] {
+				t.Fatalf("%s not ascending and duplicate-free: %v", what, ids)
+			}
+		}
+	}
+	checkResult := func(res Result) {
+		t.Helper()
+		check("probable", res.Probable)
+		for _, a := range res.Alerts {
+			check("alert devices", a.Devices)
+			for _, s := range a.Explain.Steps {
+				check("explain intersection", s.Intersection)
+			}
+		}
+	}
+
 	d := newTestDetector(t, ctx, Config{MaxFaults: 3})
 	feedNormal(t, d, l, 0, 6)
 	// Force a chaotic window implicating several devices.
@@ -167,15 +204,28 @@ func TestAlertDevicesSorted(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	check := func(ids []device.ID) {
-		for i := 1; i < len(ids); i++ {
-			if ids[i] < ids[i-1] {
-				t.Fatalf("devices not sorted: %v", ids)
-			}
-		}
+	checkResult(res)
+
+	d, err = New(ctx, WithConfig(Config{MaxIdentifyWindows: 3}), WithChecks(shuffledCheck{}))
+	if err != nil {
+		t.Fatal(err)
 	}
-	check(res.Probable)
-	if res.Alert != nil {
-		check(res.Alert.Devices)
+	var alerts []*Alert
+	for i := 0; i < 4; i++ {
+		res, err := d.Process(evenObs(l, i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i > 0 && !reflect.DeepEqual(res.Probable, []device.ID{2, 4}) {
+			t.Errorf("window %d: probable %v, want [2 4]", i, res.Probable)
+		}
+		checkResult(res)
+		alerts = append(alerts, res.Alerts...)
+	}
+	if len(alerts) != 1 || !reflect.DeepEqual(alerts[0].Devices, []device.ID{2, 4}) {
+		t.Fatalf("alerts %+v, want one naming [2 4]", alerts)
+	}
+	if got := alerts[0].Explain.Steps[0].Intersection; !reflect.DeepEqual(got, []device.ID{0, 2, 4}) {
+		t.Errorf("opening intersection %v, want [0 2 4]", got)
 	}
 }
