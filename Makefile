@@ -3,9 +3,9 @@
 
 GO ?= go
 
-.PHONY: check fmt vet vet-perfbench staticcheck build test race race-telemetry race-hub race-cluster race-drift race-timing race-scenarios bench bench-scan bench-eval bench-hub bench-recovery bench-cluster bench-drift bench-timing bench-scenarios fuzz-smoke perf-gate
+.PHONY: check fmt vet vet-perfbench test-perfbench staticcheck build test race race-telemetry race-hub race-cluster race-drift race-timing race-scenarios bench bench-scan bench-eval bench-hub bench-recovery bench-cluster bench-drift bench-timing bench-scenarios fuzz-smoke perf-gate
 
-check: fmt vet vet-perfbench staticcheck build race-telemetry race-hub race-cluster race-drift race-timing race-scenarios race fuzz-smoke perf-gate
+check: fmt vet vet-perfbench test-perfbench staticcheck build race-telemetry race-hub race-cluster race-drift race-timing race-scenarios race fuzz-smoke perf-gate
 
 # Every Go file must be gofmt-clean; the gate lists the files that are not.
 fmt:
@@ -19,6 +19,12 @@ vet:
 # benchmark uses fail the gate rather than the benchmark run.
 vet-perfbench:
 	cd perfbench && GOWORK=off $(GO) vet ./...
+
+# The benchmark's own self-test: every metric BENCHMARK.json declares is
+# printed, and the oracle rejects a mutated alert. It runs against the
+# checkout's sources, so a change that breaks the benchmark fails here.
+test-perfbench:
+	cd perfbench && GOWORK=off $(GO) test ./...
 
 # staticcheck is optional tooling: run it when the binary is on PATH, skip
 # with a notice otherwise so `make check` works in hermetic containers.
@@ -121,13 +127,14 @@ bench-timing:
 bench-scenarios:
 	$(GO) run ./cmd/dice-eval -exp scenarios
 
-# Short fuzz passes over the wire decoders (binary batch + CoAP) and the
-# interval-sketch codec. Long campaigns run the same targets with a bigger
-# -fuzztime.
+# Short fuzz passes over the wire decoders (binary batch + CoAP), the
+# interval-sketch codec and the window builder's fold (held to a map-keyed
+# reference). Long campaigns run the same targets with a bigger -fuzztime.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz 'FuzzDecodeBatch$$' -fuzztime 5s ./internal/wire/
 	$(GO) test -run '^$$' -fuzz 'FuzzMessageUnmarshal$$' -fuzztime 5s ./internal/coap/
 	$(GO) test -run '^$$' -fuzz 'FuzzIntervalSketch$$' -fuzztime 5s ./internal/markov/
+	$(GO) test -run '^$$' -fuzz 'FuzzBuilderFold$$' -fuzztime 5s ./internal/window/
 
 # CI perf gate: regenerate five benchmarks into /tmp and compare each with
 # its committed baseline through dice-benchdiff, failing on a regression

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"time"
 
 	"repro/internal/coap"
@@ -88,13 +89,11 @@ func (g *Gateway) ExportCheckpoint() *Checkpoint {
 		Builder:     g.builder.ExportState(),
 		WALSeq:      g.walSeq,
 	}
-	if len(g.lastSeen) > 0 {
-		cp.LastSeenMS = make(map[device.ID]int64, len(g.lastSeen))
-		for id, at := range g.lastSeen {
-			cp.LastSeenMS[id] = at.Milliseconds()
-		}
+	if len(g.liveIDs) > 0 {
+		cp.LastSeenMS = make(map[device.ID]int64, len(g.liveIDs))
 	}
-	for _, id := range sortedIDs(g.lastSeen) {
+	for _, id := range g.liveIDs {
+		cp.LastSeenMS[id] = g.lastSeen.get(id).Milliseconds()
 		if g.dark[id] {
 			cp.Dark = append(cp.Dark, id)
 		}
@@ -150,11 +149,13 @@ func (g *Gateway) RestoreCheckpoint(cp *Checkpoint) error {
 	g.met.liveness.Store(cp.Stats.LivenessAlerts)
 	g.horizon = time.Duration(cp.HorizonMS) * time.Millisecond
 	g.streamNow = time.Duration(cp.StreamNowMS) * time.Millisecond
-	g.lastSeen = make(map[device.ID]time.Duration, len(cp.LastSeenMS))
+	g.lastSeen = newSeenTable(g.reg.Len())
+	g.liveIDs = make([]device.ID, 0, len(cp.LastSeenMS))
 	for id, ms := range cp.LastSeenMS {
-		g.lastSeen[id] = time.Duration(ms) * time.Millisecond
+		g.lastSeen.set(id, time.Duration(ms)*time.Millisecond)
+		g.liveIDs = append(g.liveIDs, id)
 	}
-	g.liveIDs = sortedIDs(g.lastSeen)
+	slices.Sort(g.liveIDs)
 	g.dark = make(map[device.ID]bool, len(cp.Dark))
 	for _, id := range cp.Dark {
 		g.dark[id] = true

@@ -9,7 +9,6 @@ import (
 	"context"
 	"fmt"
 	"runtime/debug"
-	"sort"
 	"sync"
 	"time"
 
@@ -39,6 +38,10 @@ type Alert struct {
 // telemetry counters — the same numbers /metrics exposes, under one naming
 // scheme (see the dice_gateway_* series).
 type Stats struct {
+	// Events counts ingested events. The gateway publishes it to
+	// dice_gateway_events_total once per batch, so a /metrics scrape can
+	// lag by at most one in-flight batch; Stats() reads under the ingest
+	// lock and is exact.
 	Events        int64
 	Windows       int64
 	Violations    int64
@@ -83,7 +86,7 @@ type gwMetrics struct {
 
 func newGwMetrics(reg *telemetry.Registry) gwMetrics {
 	m := gwMetrics{
-		events:        reg.Counter(metricGwEvents, "Events ingested by the gateway."),
+		events:        reg.Counter(metricGwEvents, "Events ingested by the gateway, published once per batch: a scrape can lag by at most the batch in flight."),
 		windows:       reg.Counter(metricGwWindows, "Windows run through the online detector."),
 		violations:    reg.Counter(metricGwViolations, "Windows on which a check fired."),
 		alerts:        reg.Counter(metricGwAlerts, "Alerts delivered to the alert channel."),
@@ -135,14 +138,19 @@ type Gateway struct {
 	// Liveness tracking: stream time each device last reported at, the
 	// devices currently past the silence threshold, and the furthest
 	// stream time observed (events may run ahead of the /advance horizon).
-	// liveIDs caches lastSeen's keys in ascending order so the per-event
-	// silence sweep neither allocates nor re-sorts (lastSeen only ever
-	// grows; the cache is rebuilt on checkpoint restore).
+	// liveIDs holds lastSeen's keys in ascending order: it drives the
+	// per-event silence sweep, Liveness, checkpoint export and the restore
+	// rebase, none of which allocate or sort (lastSeen only ever grows; the
+	// list is rebuilt on checkpoint restore).
 	liveThreshold time.Duration
-	lastSeen      map[device.ID]time.Duration
+	lastSeen      seenTable
 	liveIDs       []device.ID
 	dark          map[device.ID]bool
 	streamNow     time.Duration
+
+	// events counts admitted events (past the ingest hook) not yet added to
+	// met.events: one atomic add per batch instead of one per event.
+	events int64
 
 	// Durability: ops append to the WAL (when attached) before mutating
 	// state; walSeq is the sequence number of the last op this gateway has
@@ -300,7 +308,7 @@ func New(ctx *core.Context, opts ...Option) (*Gateway, error) {
 		detOpts:       detOpts,
 		adapt:         o.adapt,
 		liveThreshold: o.liveness,
-		lastSeen:      make(map[device.ID]time.Duration),
+		lastSeen:      newSeenTable(ctx.Layout().Registry().Len()),
 		dark:          make(map[device.ID]bool),
 		wal:           o.wal,
 		home:          o.home,
@@ -463,9 +471,9 @@ type DeviceLiveness struct {
 func (g *Gateway) Liveness() []DeviceLiveness {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	out := make([]DeviceLiveness, 0, len(g.lastSeen))
-	for _, id := range sortedIDs(g.lastSeen) {
-		dl := DeviceLiveness{Device: id, LastSeen: g.lastSeen[id], Dark: g.dark[id]}
+	out := make([]DeviceLiveness, 0, len(g.liveIDs))
+	for _, id := range g.liveIDs {
+		dl := DeviceLiveness{Device: id, LastSeen: g.lastSeen.get(id), Dark: g.dark[id]}
 		if dev, err := g.reg.Get(id); err == nil {
 			dl.Name = dev.Name
 		}
@@ -507,6 +515,7 @@ func (g *Gateway) IngestBatch(evts []event.Event) error {
 	if err := g.logBatchLocked(evts); err != nil {
 		return err
 	}
+	defer g.publishEventsLocked()
 	var first error
 	for _, e := range evts {
 		if err := g.ingestLocked(e); err != nil && first == nil {
@@ -547,12 +556,11 @@ func (g *Gateway) ingestLocked(e event.Event) error {
 			return err
 		}
 	}
-	g.met.events.Inc()
-	if _, seen := g.lastSeen[e.Device]; !seen {
+	g.events++
+	if g.lastSeen.set(e.Device, e.At) {
 		g.liveIDs = insertSortedID(g.liveIDs, e.Device)
 	}
-	g.lastSeen[e.Device] = e.At
-	if g.dark[e.Device] {
+	if len(g.dark) > 0 && g.dark[e.Device] {
 		delete(g.dark, e.Device) // a dark device that reports again has recovered
 		g.met.dark.Set(int64(len(g.dark)))
 	}
@@ -566,6 +574,17 @@ func (g *Gateway) ingestLocked(e event.Event) error {
 	}
 	g.checkLivenessLocked()
 	return nil
+}
+
+// publishEventsLocked adds the admitted-event count held under g.mu to the
+// dice_gateway_events_total counter. IngestBatch defers it, so /metrics
+// trails by at most the batch in flight, and Stats, which takes g.mu, never
+// observes a pending count.
+func (g *Gateway) publishEventsLocked() {
+	if g.events != 0 {
+		g.met.events.Add(g.events)
+		g.events = 0
+	}
 }
 
 // AdvanceTo declares that stream time has reached t, closing any windows
@@ -615,8 +634,8 @@ func (g *Gateway) observeClockLocked(t time.Duration) {
 	}
 	if g.rebasePending && !g.replaying {
 		if delta := t - g.streamNow; g.liveThreshold > 0 && delta > g.liveThreshold {
-			for id := range g.lastSeen {
-				g.lastSeen[id] += delta
+			for _, id := range g.liveIDs {
+				g.lastSeen.set(id, g.lastSeen.get(id)+delta)
 			}
 		}
 		g.rebasePending = false
@@ -780,8 +799,11 @@ func (g *Gateway) ImportTail(frames [][]byte) error {
 }
 
 // applyRecordLocked applies one replayed op, converting a panic into a
-// dead-letter entry + skip instead of letting it wedge recovery.
+// dead-letter entry + skip instead of letting it wedge recovery. The
+// admitted-event count is published per record, also when the record
+// panics after its ingest hook admitted it.
 func (g *Gateway) applyRecordLocked(seq uint64, rec wal.Record) {
+	defer g.publishEventsLocked()
 	defer func() {
 		if p := recover(); p != nil {
 			//nolint:errcheck // forensics, not state: a failed dead-letter
@@ -806,8 +828,10 @@ func (g *Gateway) checkLivenessLocked() {
 		return
 	}
 	for _, id := range g.liveIDs {
-		last := g.lastSeen[id]
-		if g.dark[id] || g.streamNow-last <= g.liveThreshold {
+		// The silence test goes first: it rules out every device that
+		// reported recently, so only silent ones cost a dark-set lookup.
+		last := g.lastSeen.get(id)
+		if g.streamNow-last <= g.liveThreshold || g.dark[id] {
 			continue
 		}
 		g.dark[id] = true
@@ -842,13 +866,42 @@ func (g *Gateway) checkLivenessLocked() {
 	}
 }
 
-func sortedIDs(m map[device.ID]time.Duration) []device.ID {
-	out := make([]device.ID, 0, len(m))
-	for id := range m {
-		out = append(out, id)
+// seenTable maps device IDs to the stream time each last reported at.
+// Registry IDs are dense indices and index a slice; an ID outside the
+// registry (a ghost report can carry any int) falls back to a map, so the
+// table is sized by the registry and never by the input.
+type seenTable struct {
+	at    []time.Duration
+	has   []bool
+	ghost map[device.ID]time.Duration
+}
+
+func newSeenTable(n int) seenTable {
+	return seenTable{at: make([]time.Duration, n), has: make([]bool, n)}
+}
+
+// get returns id's last-seen time, zero if it never reported.
+func (t *seenTable) get(id device.ID) time.Duration {
+	if uint(id) < uint(len(t.at)) {
+		return t.at[id]
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	return t.ghost[id]
+}
+
+// set records id's last-seen time and reports whether id is new.
+func (t *seenTable) set(id device.ID, at time.Duration) bool {
+	if uint(id) < uint(len(t.at)) {
+		t.at[id] = at
+		seen := t.has[id]
+		t.has[id] = true
+		return !seen
+	}
+	if t.ghost == nil {
+		t.ghost = make(map[device.ID]time.Duration)
+	}
+	_, seen := t.ghost[id]
+	t.ghost[id] = at
+	return !seen
 }
 
 // insertSortedID inserts id into an ascending slice, keeping it sorted.

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/coap"
 	"repro/internal/core"
+	"repro/internal/device"
 	"repro/internal/event"
 	"repro/internal/wal"
 	"repro/internal/wire"
@@ -136,15 +137,22 @@ func TestIngestBatchZeroAllocSameWindow(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Binary-sensor events carry no per-sample append, so a repeated batch
-	// is pure pooled-path work: map hits, builder fold, no growth.
+	// is pure pooled-path work: table hits, builder fold, no growth. Every
+	// fourth event comes from a ghost ID outside the registry (both edges
+	// and a far-out int), which the liveness table keeps in its map.
 	dev := h.Layout().BinaryID(0)
+	ghosts := []device.ID{-1, device.ID(h.Registry().Len()), 1 << 40}
 	batch := make([]event.Event, 64)
 	for i := range batch {
 		batch[i] = event.Event{At: 30 * time.Second, Device: dev, Value: 1}
+		if i%4 == 3 {
+			batch[i].Device = ghosts[i/4%len(ghosts)]
+		}
 	}
 	payload := wire.AppendReport(nil, batch)
 	scratch := make([]event.Event, 0, len(batch))
-	// Warm up: first contact inserts the device into lastSeen/liveIDs.
+	// Warm up: first contact inserts the devices, ghosts included, into
+	// lastSeen/liveIDs.
 	if err := gw.IngestBatch(batch); err != nil {
 		t.Fatal(err)
 	}

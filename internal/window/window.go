@@ -52,36 +52,68 @@ func (o *Observation) Clone() *Observation {
 // Layout maps between device IDs and the per-kind dense slots used inside
 // observations and state sets. It is derived once from a registry.
 type Layout struct {
-	reg         *device.Registry
-	binarySlot  map[device.ID]int
-	numericSlot map[device.ID]int
-	actSlot     map[device.ID]int
-	binaries    []device.ID
-	numerics    []device.ID
-	acts        []device.ID
+	reg *device.Registry
+	// slots is indexed by device ID. Registry IDs are dense indices, so one
+	// bounds check and one index resolve any ID; an ID outside the registry
+	// (a ghost off the wire can be any int) misses the bounds check.
+	slots    []slotEntry
+	binaries []device.ID
+	numerics []device.ID
+	acts     []device.ID
+}
+
+// slotKind says which per-kind slot space a device occupies; the zero
+// value marks an ID with no slot.
+type slotKind uint8
+
+const (
+	noSlot slotKind = iota
+	binarySlot
+	numericSlot
+	actuatorSlot
+)
+
+type slotEntry struct {
+	kind slotKind
+	slot int
 }
 
 // NewLayout builds the slot mapping for a registry.
 func NewLayout(reg *device.Registry) *Layout {
 	l := &Layout{
-		reg:         reg,
-		binarySlot:  make(map[device.ID]int),
-		numericSlot: make(map[device.ID]int),
-		actSlot:     make(map[device.ID]int),
-		binaries:    reg.Binaries(),
-		numerics:    reg.Numerics(),
-		acts:        reg.Actuators(),
+		reg:      reg,
+		slots:    make([]slotEntry, reg.Len()),
+		binaries: reg.Binaries(),
+		numerics: reg.Numerics(),
+		acts:     reg.Actuators(),
 	}
 	for i, id := range l.binaries {
-		l.binarySlot[id] = i
+		l.slots[id] = slotEntry{binarySlot, i}
 	}
 	for i, id := range l.numerics {
-		l.numericSlot[id] = i
+		l.slots[id] = slotEntry{numericSlot, i}
 	}
 	for i, id := range l.acts {
-		l.actSlot[id] = i
+		l.slots[id] = slotEntry{actuatorSlot, i}
 	}
 	return l
+}
+
+// entry returns id's slot entry; the zero entry (noSlot) for an ID
+// outside the registry.
+func (l *Layout) entry(id device.ID) slotEntry {
+	if uint(id) < uint(len(l.slots)) {
+		return l.slots[id]
+	}
+	return slotEntry{}
+}
+
+// slotOf returns id's dense slot when it is a device of the given kind.
+func (l *Layout) slotOf(id device.ID, kind slotKind) (int, bool) {
+	if e := l.entry(id); e.kind == kind {
+		return e.slot, true
+	}
+	return 0, false
 }
 
 // Registry returns the registry the layout was built from.
@@ -97,22 +129,13 @@ func (l *Layout) NumNumeric() int { return len(l.numerics) }
 func (l *Layout) NumActuators() int { return len(l.acts) }
 
 // BinarySlot returns the dense slot for a binary sensor ID.
-func (l *Layout) BinarySlot(id device.ID) (int, bool) {
-	s, ok := l.binarySlot[id]
-	return s, ok
-}
+func (l *Layout) BinarySlot(id device.ID) (int, bool) { return l.slotOf(id, binarySlot) }
 
 // NumericSlot returns the dense slot for a numeric sensor ID.
-func (l *Layout) NumericSlot(id device.ID) (int, bool) {
-	s, ok := l.numericSlot[id]
-	return s, ok
-}
+func (l *Layout) NumericSlot(id device.ID) (int, bool) { return l.slotOf(id, numericSlot) }
 
 // ActuatorSlot returns the dense slot for an actuator ID.
-func (l *Layout) ActuatorSlot(id device.ID) (int, bool) {
-	s, ok := l.actSlot[id]
-	return s, ok
-}
+func (l *Layout) ActuatorSlot(id device.ID) (int, bool) { return l.slotOf(id, actuatorSlot) }
 
 // BinaryID returns the device ID occupying binary slot s.
 func (l *Layout) BinaryID(s int) device.ID { return l.binaries[s] }
@@ -138,7 +161,9 @@ type Builder struct {
 	layout   *Layout
 	duration time.Duration
 	cur      *Observation
-	actSeen  map[device.ID]bool
+	// actSeen is indexed by actuator slot: whether the actuator has
+	// already been counted as activated in the open window.
+	actSeen []bool
 	// floor is the first window index that has not been emitted yet; it
 	// advances monotonically so time can never regress even across
 	// Flush/AdvanceTo.
@@ -163,7 +188,7 @@ func NewBuilder(layout *Layout, duration time.Duration) *Builder {
 	return &Builder{
 		layout:   layout,
 		duration: duration,
-		actSeen:  make(map[device.ID]bool),
+		actSeen:  make([]bool, layout.NumActuators()),
 	}
 }
 
@@ -214,9 +239,7 @@ func (b *Builder) Add(e event.Event) ([]*Observation, error) {
 func (b *Builder) Flush() *Observation {
 	o := b.cur
 	b.cur = nil
-	for k := range b.actSeen {
-		delete(b.actSeen, k)
-	}
+	clear(b.actSeen)
 	if o != nil {
 		b.floor = o.Index + 1
 		b.built.Inc()
@@ -268,14 +291,19 @@ func (b *Builder) ExportState() BuilderState {
 	if b.cur != nil {
 		st.Cur = b.cur.Clone()
 	}
-	for id := range b.actSeen {
-		st.ActSeen = insertSorted(st.ActSeen, id)
+	// Actuator slots follow registry order, so this is ascending by ID.
+	for s, seen := range b.actSeen {
+		if seen {
+			st.ActSeen = append(st.ActSeen, b.layout.ActuatorID(s))
+		}
 	}
 	return st
 }
 
 // RestoreState replaces the builder's runtime state with a snapshot taken
 // by ExportState, validating the partial observation against the layout.
+// An ActSeen ID that is not one of the layout's actuators is skipped: the
+// fold never consults it, so it carries no state.
 func (b *Builder) RestoreState(st BuilderState) error {
 	if st.Cur != nil {
 		if len(st.Cur.Binary) != b.layout.NumBinary() || len(st.Cur.Numeric) != b.layout.NumNumeric() {
@@ -291,9 +319,11 @@ func (b *Builder) RestoreState(st BuilderState) error {
 	if st.Cur != nil {
 		b.cur = st.Cur.Clone()
 	}
-	b.actSeen = make(map[device.ID]bool, len(st.ActSeen))
+	clear(b.actSeen)
 	for _, id := range st.ActSeen {
-		b.actSeen[id] = true
+		if s, ok := b.layout.ActuatorSlot(id); ok {
+			b.actSeen[s] = true
+		}
 	}
 	return nil
 }
@@ -301,9 +331,7 @@ func (b *Builder) RestoreState(st BuilderState) error {
 func (b *Builder) startWindow(idx int) {
 	b.cur = b.newObservation(idx)
 	b.floor = idx
-	for k := range b.actSeen {
-		delete(b.actSeen, k)
-	}
+	clear(b.actSeen)
 }
 
 // newObservation pops a recycled observation if one is available,
@@ -351,20 +379,17 @@ func (b *Builder) Recycle(o *Observation) {
 }
 
 func (b *Builder) fold(e event.Event) {
-	if s, ok := b.layout.binarySlot[e.Device]; ok {
+	switch en := b.layout.entry(e.Device); en.kind {
+	case binarySlot:
 		if e.Value != 0 {
-			b.cur.Binary[s] = true
+			b.cur.Binary[en.slot] = true
 		}
-		return
-	}
-	if s, ok := b.layout.numericSlot[e.Device]; ok {
-		b.cur.Numeric[s] = append(b.cur.Numeric[s], e.Value)
-		return
-	}
-	if _, ok := b.layout.actSlot[e.Device]; ok {
+	case numericSlot:
+		b.cur.Numeric[en.slot] = append(b.cur.Numeric[en.slot], e.Value)
+	case actuatorSlot:
 		// Only switch-on events count as actuator activations for G2A/A2G.
-		if e.Value != 0 && !b.actSeen[e.Device] {
-			b.actSeen[e.Device] = true
+		if e.Value != 0 && !b.actSeen[en.slot] {
+			b.actSeen[en.slot] = true
 			b.cur.Actuated = insertSorted(b.cur.Actuated, e.Device)
 		}
 	}

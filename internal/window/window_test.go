@@ -248,19 +248,6 @@ func TestActuatedStaysSorted(t *testing.T) {
 	}
 }
 
-func BenchmarkBuilderAdd(b *testing.B) {
-	reg := device.NewRegistry()
-	reg.MustAdd("m", device.Binary, device.Motion, "a")
-	reg.MustAdd("t", device.Numeric, device.Temperature, "a")
-	l := NewLayout(reg)
-	bld := NewBuilder(l, time.Minute)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_, _ = bld.Add(event.Event{At: time.Duration(i) * time.Second, Device: 1, Value: 20})
-	}
-}
-
 func TestBuilderStateRoundTrip(t *testing.T) {
 	_, l := testDevices(t)
 	b := NewBuilder(l, time.Minute)
