@@ -311,3 +311,141 @@ func TestDedupExportRestoreRoundTrip(t *testing.T) {
 		t.Errorf("handler ran %d times across the restart, want once", got)
 	}
 }
+
+// TestServerDedupMessageIDWrap: once a client's 16-bit Message ID wraps
+// within EXCHANGE_LIFETIME, a reused ID arrives with a fresh token. That
+// is a new exchange: it must reach the handler, not be answered with the
+// old exchange's cached ACK (whose token the client would drop). A
+// retransmission of the new exchange must still be absorbed.
+func TestServerDedupMessageIDWrap(t *testing.T) {
+	var calls int64
+	srv, err := ListenAndServe("127.0.0.1:0", func(req *Message) *Message {
+		atomic.AddInt64(&calls, 1)
+		return &Message{Code: CodeChanged, Payload: req.Payload}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	cli, err := Dial(srv.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cli.Close()
+	cli.AckTimeout = 50 * time.Millisecond
+	cli.MaxRetransmit = 2
+
+	do := func(tok byte, payload string) *Message {
+		t.Helper()
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		resp, err := cli.Do(ctx, &Message{Code: CodePOST, Token: []byte{tok}, Payload: []byte(payload)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp
+	}
+	mid := cli.nextMID
+	do(1, "old")
+	cli.nextMID = mid // 65,536 exchanges later, the same Message ID again
+	if resp := do(2, "new"); string(resp.Payload) != "new" {
+		t.Fatalf("reused Message ID answered %q, want the new exchange's reply", resp.Payload)
+	}
+	if got := atomic.LoadInt64(&calls); got != 2 {
+		t.Fatalf("handler ran %d times, want 2", got)
+	}
+
+	// Retransmit the new exchange byte for byte from the same socket: the
+	// cached ACK for it comes back and the handler does not run again.
+	data, err := (&Message{Type: Confirmable, Code: CodePOST, MessageID: mid, Token: []byte{2}, Payload: []byte("new")}).Marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cli.conn.Write(data); err != nil {
+		t.Fatal(err)
+	}
+	cli.conn.SetReadDeadline(time.Now().Add(5 * time.Second)) //nolint:errcheck
+	buf := make([]byte, 1024)
+	n, err := cli.conn.Read(buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ack, err := Unmarshal(buf[:n])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ack.MessageID != mid || !bytes.Equal(ack.Token, []byte{2}) || string(ack.Payload) != "new" {
+		t.Errorf("replayed ACK = %+v, want the new exchange's", ack)
+	}
+	if got := atomic.LoadInt64(&calls); got != 2 {
+		t.Errorf("handler ran %d times after a retransmission, want 2", got)
+	}
+	if st := srv.Stats(); st.Deduped != 1 || st.Handled != 2 {
+		t.Errorf("stats = %+v, want 1 deduped, 2 handled", st)
+	}
+}
+
+// TestDedupPurgeSkipsReplacedSlots: an exchange replaced by a newer one
+// with the same Message ID leaves a stale slot in the expiry order. The
+// purge must pass over it, neither stopping at it (the newer entry is
+// young) nor deleting the newer entry when the old slot's age is up.
+func TestDedupPurgeSkipsReplacedSlots(t *testing.T) {
+	const life = time.Minute
+	s := &Server{cfg: ServerConfig{ExchangeLifetime: life}, dedup: make(map[dedupKey]*exchange)}
+	t0 := time.Unix(1000, 0)
+	a := dedupKey{peer: "p", mid: 1}
+	b := dedupKey{peer: "p", mid: 2}
+	s.admitLocked(a, []byte{1}, t0)
+	s.admitLocked(b, []byte{1}, t0.Add(time.Second))
+	newer, dup := s.admitLocked(a, []byte{2}, t0.Add(2*time.Second))
+	if dup {
+		t.Fatal("a reused Message ID with a new token counted as a duplicate")
+	}
+
+	// b's lifetime is up, the newer entry for a is still young.
+	now := t0.Add(life + 1500*time.Millisecond)
+	s.purgeLocked(now)
+	if _, ok := s.dedup[b]; ok {
+		t.Error("expired entry survived behind a replaced slot")
+	}
+	if s.dedup[a] != newer {
+		t.Error("purge of the replaced slot deleted the newer entry")
+	}
+	if len(s.order) != 1 {
+		t.Errorf("order holds %d slots, want 1", len(s.order))
+	}
+	if ex, dup := s.admitLocked(a, []byte{2}, now); !dup || ex != newer {
+		t.Error("retransmission of the newer exchange not recognised")
+	}
+}
+
+// TestClientResponseOutlivesNextExchange: the client reads every response
+// into one buffer, so a returned message must not alias it — the first
+// response's token and payload stay intact after a second exchange.
+func TestClientResponseOutlivesNextExchange(t *testing.T) {
+	srv, err := ListenAndServe("127.0.0.1:0", func(req *Message) *Message {
+		return &Message{Code: CodeContent, Payload: req.Payload}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	cli, err := Dial(srv.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cli.Close()
+
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	first, err := cli.Do(ctx, &Message{Code: CodePOST, Token: []byte{1, 2, 3, 4}, Payload: []byte("first!")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cli.Do(ctx, &Message{Code: CodePOST, Token: []byte{5, 6, 7, 8}, Payload: []byte("second")}); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(first.Token, []byte{1, 2, 3, 4}) || string(first.Payload) != "first!" {
+		t.Errorf("first response changed under the second exchange: token %x payload %q", first.Token, first.Payload)
+	}
+}

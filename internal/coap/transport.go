@@ -1,6 +1,7 @@
 package coap
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -110,15 +111,21 @@ type dedupKey struct {
 // exchange is one dedup-cache entry. resp stays nil while the handler is
 // still running; a retransmission arriving in that window is silently
 // absorbed (the sender's next retransmission finds the cached response).
+// token is the request's token, which the response echoes. A datagram is
+// a retransmission only when its token matches too: once a client's
+// 16-bit Message ID wraps within EXCHANGE_LIFETIME, a reused ID arrives
+// with a fresh token and is a new exchange.
 type exchange struct {
-	resp []byte
-	born time.Time
+	key   dedupKey
+	token []byte
+	resp  []byte
+	born  time.Time
 }
 
 type job struct {
 	req  *Message
 	peer net.Addr
-	key  dedupKey
+	ex   *exchange
 	con  bool
 }
 
@@ -133,10 +140,10 @@ type Server struct {
 	queue   chan job
 	done    chan struct{} // closed by Close, releases the context watcher
 
-	mu     sync.Mutex // guards closed, dedup, order
+	mu     sync.Mutex // guards closed, dedup, order and every exchange
 	closed bool
 	dedup  map[dedupKey]*exchange
-	order  []dedupKey // insertion order, for expiry
+	order  []*exchange // insertion order, for expiry
 
 	met srvMetrics
 
@@ -310,26 +317,24 @@ func (s *Server) serve() {
 
 		s.met.received.Inc()
 		s.mu.Lock()
-		s.purgeLocked(time.Now())
-		if e, ok := s.dedup[key]; ok {
+		ex, dup := s.admitLocked(key, req.Token, time.Now())
+		if dup {
 			// RFC 7252 §4.5: a retransmitted exchange must not reach the
 			// handler again. Replay the cached piggybacked ACK for a
 			// Confirmable retransmission; while the original is still in
 			// flight (resp == nil), or for a NON duplicate, stay silent.
 			s.met.deduped.Inc()
-			resp := e.resp
+			resp := ex.resp
 			s.mu.Unlock()
 			if resp != nil && req.Type == Confirmable {
 				s.conn.WriteTo(resp, peer) //nolint:errcheck // peer retransmits on loss
 			}
 			continue
 		}
-		s.dedup[key] = &exchange{born: time.Now()}
-		s.order = append(s.order, key)
 		s.mu.Unlock()
 
 		select {
-		case s.queue <- job{req: req, peer: peer, key: key, con: req.Type == Confirmable}:
+		case s.queue <- job{req: req, peer: peer, ex: ex, con: req.Type == Confirmable}:
 			s.met.queueDepth.Add(1)
 		default:
 			// Queue full: shed the request. Forget the exchange so the
@@ -342,18 +347,39 @@ func (s *Server) serve() {
 	}
 }
 
+// admitLocked looks up a request from key carrying token. A datagram whose
+// Message ID and token both match a cached exchange is a retransmission:
+// admitLocked returns that exchange and dup = true. Otherwise it registers
+// and returns a new exchange born at now, replacing any older exchange
+// that reused the Message ID with another token.
+func (s *Server) admitLocked(key dedupKey, token []byte, now time.Time) (ex *exchange, dup bool) {
+	s.purgeLocked(now)
+	if e, ok := s.dedup[key]; ok && bytes.Equal(e.token, token) {
+		return e, true
+	}
+	ex = &exchange{key: key, token: token, born: now}
+	s.dedup[key] = ex
+	s.order = append(s.order, ex)
+	return ex, false
+}
+
+// live reports whether e is still the cache entry for its key; one that
+// is not was shed by the queue-full path or replaced by a newer exchange
+// reusing its Message ID.
+func (s *Server) live(e *exchange) bool { return s.dedup[e.key] == e }
+
 // purgeLocked expires exchanges older than ExchangeLifetime. Entries are
-// appended to order at birth, so the prefix is oldest-first; a key whose
-// map entry is missing was shed by the queue-full path.
+// appended to order at birth, so the prefix is oldest-first. A slot whose
+// entry is no longer live is dropped without looking at its age, so it
+// neither holds up the purge nor deletes the entry that replaced it.
 func (s *Server) purgeLocked(now time.Time) {
 	cut := 0
-	for _, key := range s.order {
-		e, ok := s.dedup[key]
-		if ok && now.Sub(e.born) < s.cfg.ExchangeLifetime {
-			break
-		}
-		if ok {
-			delete(s.dedup, key)
+	for _, e := range s.order {
+		if s.live(e) {
+			if now.Sub(e.born) < s.cfg.ExchangeLifetime {
+				break
+			}
+			delete(s.dedup, e.key)
 		}
 		cut++
 	}
@@ -381,23 +407,20 @@ func (s *Server) worker() {
 		data, err := resp.Marshal()
 
 		s.met.handled.Inc()
-		s.mu.Lock()
-		if err == nil {
-			if e, ok := s.dedup[jb.key]; ok {
-				e.resp = data
-			}
-		}
-		s.mu.Unlock()
 		if err != nil {
 			continue
 		}
+		s.mu.Lock()
+		jb.ex.resp = data
+		s.mu.Unlock()
 		s.conn.WriteTo(data, jb.peer) //nolint:errcheck // peer retransmits on loss
 	}
 }
 
 // DedupEntry is the persisted form of one completed exchange, exported for
 // gateway checkpoints so a restarted gateway keeps absorbing retransmissions
-// of pre-crash requests instead of double-ingesting them.
+// of pre-crash requests instead of double-ingesting them. The exchange's
+// token is the one inside Response.
 type DedupEntry struct {
 	Peer      string `json:"peer"`
 	MessageID uint16 `json:"mid"`
@@ -414,14 +437,13 @@ func (s *Server) ExportDedup() []DedupEntry {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	var out []DedupEntry
-	for _, key := range s.order {
-		e, ok := s.dedup[key]
-		if !ok || e.resp == nil {
+	for _, e := range s.order {
+		if !s.live(e) || e.resp == nil {
 			continue
 		}
 		out = append(out, DedupEntry{
-			Peer:      key.peer,
-			MessageID: key.mid,
+			Peer:      e.key.peer,
+			MessageID: e.key.mid,
 			Response:  e.resp,
 			AgeMS:     now.Sub(e.born).Milliseconds(),
 		})
@@ -430,7 +452,8 @@ func (s *Server) ExportDedup() []DedupEntry {
 }
 
 // RestoreDedup seeds the dedup cache from a checkpoint. Entries whose
-// remaining lifetime has already elapsed are skipped.
+// remaining lifetime has already elapsed, or whose response does not
+// parse, are skipped.
 func (s *Server) RestoreDedup(entries []DedupEntry) {
 	now := time.Now()
 	s.mu.Lock()
@@ -444,8 +467,13 @@ func (s *Server) RestoreDedup(entries []DedupEntry) {
 		if _, ok := s.dedup[key]; ok {
 			continue
 		}
-		s.dedup[key] = &exchange{resp: en.Response, born: now.Add(-age)}
-		s.order = append(s.order, key)
+		resp, err := Unmarshal(en.Response)
+		if err != nil {
+			continue
+		}
+		e := &exchange{key: key, token: resp.Token, resp: en.Response, born: now.Add(-age)}
+		s.dedup[key] = e
+		s.order = append(s.order, e)
 	}
 }
 
@@ -453,7 +481,13 @@ func (s *Server) RestoreDedup(entries []DedupEntry) {
 type Client struct {
 	conn net.Conn
 	rng  *rand.Rand
-	mu   sync.Mutex
+	mu   sync.Mutex // held for a whole exchange; guards nextMID and buf
+
+	// buf receives every response datagram. Unmarshal copies what it
+	// keeps, so a returned *Message never aliases it, and one buffer
+	// serves every exchange. It is sized for the largest UDP datagram so
+	// no response is truncated.
+	buf []byte
 
 	// nextMID is the Message ID of the next exchange. RFC 7252 §4.4: a
 	// random initial value incremented per message, so concurrent or
@@ -488,6 +522,7 @@ func NewClient(conn net.Conn) *Client {
 	return &Client{
 		conn:          conn,
 		rng:           rng,
+		buf:           make([]byte, 64*1024),
 		nextMID:       uint16(rng.Intn(1 << 16)),
 		AckTimeout:    2 * time.Second,
 		MaxRetransmit: 4,
@@ -518,7 +553,6 @@ func (c *Client) Do(ctx context.Context, req *Message) (*Message, error) {
 	}
 
 	timeout := c.AckTimeout
-	buf := make([]byte, 64*1024)
 	for attempt := 0; attempt <= c.MaxRetransmit; attempt++ {
 		if err := ctx.Err(); err != nil {
 			return nil, err
@@ -534,18 +568,18 @@ func (c *Client) Do(ctx context.Context, req *Message) (*Message, error) {
 			return nil, err
 		}
 		for {
-			n, err := c.conn.Read(buf)
+			n, err := c.conn.Read(c.buf)
 			if err != nil {
 				if ne, ok := err.(net.Error); ok && ne.Timeout() {
 					break // retransmit
 				}
 				return nil, fmt.Errorf("coap: recv: %w", err)
 			}
-			resp, err := Unmarshal(buf[:n])
+			resp, err := Unmarshal(c.buf[:n])
 			if err != nil {
 				continue // drop malformed
 			}
-			if !tokensEqual(resp.Token, req.Token) {
+			if !bytes.Equal(resp.Token, req.Token) {
 				continue // stale response from an earlier exchange
 			}
 			if resp.Type == Acknowledgement && resp.MessageID != req.MessageID {
@@ -556,16 +590,4 @@ func (c *Client) Do(ctx context.Context, req *Message) (*Message, error) {
 		timeout *= 2
 	}
 	return nil, fmt.Errorf("coap: no response after %d attempts", c.MaxRetransmit+1)
-}
-
-func tokensEqual(a, b []byte) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
