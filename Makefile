@@ -136,13 +136,15 @@ bench-scenarios:
 	$(GO) run ./cmd/dice-eval -exp scenarios
 
 # Short fuzz passes over the wire decoders (binary batch + CoAP), the
-# interval-sketch codec and the window builder's fold (held to a map-keyed
-# reference). Long campaigns run the same targets with a bigger -fuzztime.
+# interval-sketch codec, the window builder's fold (held to a map-keyed
+# reference) and the gateway's batch order check (held to a division per
+# event). Long campaigns run the same targets with a bigger -fuzztime.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz 'FuzzDecodeBatch$$' -fuzztime 5s ./internal/wire/
 	$(GO) test -run '^$$' -fuzz 'FuzzMessageUnmarshal$$' -fuzztime 5s ./internal/coap/
 	$(GO) test -run '^$$' -fuzz 'FuzzIntervalSketch$$' -fuzztime 5s ./internal/markov/
 	$(GO) test -run '^$$' -fuzz 'FuzzBuilderFold$$' -fuzztime 5s ./internal/window/
+	$(GO) test -run '^$$' -fuzz 'FuzzCheckOrder$$' -fuzztime 5s ./internal/gateway/
 
 # CI perf gate: regenerate five benchmarks into /tmp and compare each with
 # its committed baseline through dice-benchdiff, failing on a regression

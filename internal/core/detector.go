@@ -78,6 +78,40 @@ func (t Timing) Total() time.Duration {
 	return t.Binarize + t.Correlation + t.Transition + t.Identify
 }
 
+// stageClock times Process's stages on every period-th window and is the
+// detector's only clock reader. An unsampled window reads no clock:
+// each lap returns zero. The window count is a plain counter, so which
+// windows are sampled is deterministic; it is not checkpointed.
+type stageClock struct {
+	period  int
+	n       int
+	sampled bool
+	mark    time.Time
+}
+
+// start opens a window, sampling it when it is the period-th since the
+// last sampled one.
+func (c *stageClock) start() {
+	c.n++
+	c.sampled = c.n >= c.period
+	if c.sampled {
+		c.n = 0
+		c.mark = time.Now()
+	}
+}
+
+// lap returns the time since the previous mark and marks now; zero on an
+// unsampled window.
+func (c *stageClock) lap() time.Duration {
+	if !c.sampled {
+		return 0
+	}
+	now := time.Now()
+	d := now.Sub(c.mark)
+	c.mark = now
+	return d
+}
+
 // Alert is the final output of an identification episode: the devices DICE
 // believes are faulty.
 type Alert struct {
@@ -127,7 +161,9 @@ type Result struct {
 	// opening order. With MaxFaults == 1 it holds at most one entry
 	// (identical to Alert).
 	Alerts []*Alert
-	// Timing carries the per-stage costs for this window.
+	// Timing carries the per-stage costs for this window when it was
+	// sampled (every window by default; sampled, 1 window in 16 on the
+	// gateway, see WithStageTimingPeriod) and is zero otherwise.
 	Timing Timing
 }
 
@@ -210,6 +246,9 @@ type Detector struct {
 	// met holds the telemetry instruments (all nil when uninstrumented;
 	// every update below is nil-safe and allocation-free).
 	met detMetrics
+
+	// clock fills Result.Timing and dice_scan_seconds on sampled windows.
+	clock stageClock
 }
 
 // recentActWindows is how far back an actuator firing still counts as "the
@@ -252,6 +291,7 @@ func newDetector(ctx *Context, o detOptions) (*Detector, error) {
 		stateVec:   bitvec.New(bin.NumBits()),
 		recentActs: make(map[device.ID]int),
 		met:        newDetMetrics(o.tel),
+		clock:      stageClock{period: max(o.timingPeriod, 1)},
 	}, nil
 }
 
@@ -333,20 +373,39 @@ func (d *Detector) OpenEpisodes() int { return len(d.eps) }
 func (d *Detector) Process(o *window.Observation) (Result, error) {
 	res := Result{WindowIndex: o.Index, MainGroup: NoGroup}
 
-	t0 := time.Now()
+	d.clock.start()
 	v := d.stateVec
 	if err := d.bin.StateSetInto(v, o); err != nil {
 		return Result{}, err
 	}
-	res.Timing.Binarize = time.Since(t0)
+	res.Timing.Binarize = d.clock.lap()
 
-	t1 := time.Now()
 	cands := d.ctx.ScanWith(&d.scanScratch, v, d.cfg.CandidateDistance)
-	res.Timing.Correlation = time.Since(t1)
+	res.Timing.Correlation = d.clock.lap()
 	res.MainGroup = cands.Main
 
+	// The ordered check pipeline runs on every window; a window with a
+	// finding, or inside an episode, then takes one step of identification
+	// (§3.4). One lap covers both, charged to identification inside an
+	// episode or when no main group matched, and to transition checking
+	// otherwise.
+	inEpisode := len(d.eps) > 0
+	finding := d.runChecks(CheckInput{Obs: o, Vec: v, Cands: cands})
+	if finding != nil || inEpisode {
+		d.feed(finding, cands, o, &res)
+		d.concludeEpisodes(&res)
+	}
+	cost := d.clock.lap()
+	if inEpisode || cands.Main == NoGroup {
+		res.Timing.Identify = cost
+	} else {
+		res.Timing.Transition = cost
+	}
+
 	d.met.windows.Inc()
-	d.met.scanSeconds.ObserveDuration(res.Timing.Correlation)
+	if d.clock.sampled {
+		d.met.scanSeconds.ObserveDuration(res.Timing.Correlation)
+	}
 	if cands.Main != NoGroup {
 		d.met.scanExact.Inc()
 	} else {
@@ -354,25 +413,6 @@ func (d *Detector) Process(o *window.Observation) (Result, error) {
 		if cands.MinDistance != NoDistance {
 			d.met.scanDistance.Observe(float64(cands.MinDistance))
 		}
-	}
-
-	// The ordered check pipeline runs on every window; a window with a
-	// finding, or inside an episode, then takes one step of identification
-	// (§3.4). One clock measurement covers both, charged to identification
-	// inside an episode or when no main group matched, and to transition
-	// checking otherwise.
-	t2 := time.Now()
-	inEpisode := len(d.eps) > 0
-	finding := d.runChecks(CheckInput{Obs: o, Vec: v, Cands: cands})
-	if finding != nil || inEpisode {
-		d.feed(finding, cands, o, &res)
-		d.concludeEpisodes(&res)
-	}
-	cost := time.Since(t2)
-	if inEpisode || cands.Main == NoGroup {
-		res.Timing.Identify = cost
-	} else {
-		res.Timing.Transition = cost
 	}
 
 	d.advance(cands.Main, o)

@@ -13,9 +13,10 @@ import (
 type Option func(*detOptions)
 
 type detOptions struct {
-	cfg    Config
-	tel    *telemetry.Registry
-	checks []Check
+	cfg          Config
+	tel          *telemetry.Registry
+	checks       []Check
+	timingPeriod int
 }
 
 // WithConfig replaces the whole detector configuration.
@@ -96,6 +97,15 @@ func WithTimingFlagFast(enabled bool) Option {
 // instrument is nil-safe, so this is free on the hot path).
 func WithTelemetry(reg *telemetry.Registry) Option {
 	return func(o *detOptions) { o.tel = reg }
+}
+
+// WithStageTimingPeriod samples the per-stage wall-clock timing on one
+// window in n: Result.Timing and the dice_scan_seconds observation are
+// filled on the n-th, 2n-th, ... window Process sees, and the windows
+// between read no clock. n <= 1 (the default) times every window, which
+// the per-stage cost figure needs; detection output does not depend on n.
+func WithStageTimingPeriod(n int) Option {
+	return func(o *detOptions) { o.timingPeriod = n }
 }
 
 // New builds a detector over a trained context with functional options.
@@ -181,7 +191,7 @@ func newDetMetrics(reg *telemetry.Registry) detMetrics {
 		windows:      reg.Counter(metricWindows, "Windows processed by the real-time detector."),
 		scanExact:    reg.Counter(metricScanExact, "Correlation scans resolved by the exact-hash short-circuit."),
 		scanBucket:   reg.Counter(metricScanBucket, "Correlation scans that walked the popcount buckets (no exact match)."),
-		scanSeconds:  reg.Histogram(metricScanSeconds, "Correlation scan latency in seconds.", telemetry.ExpBuckets(1e-7, 4, 10)),
+		scanSeconds:  reg.Histogram(metricScanSeconds, "Correlation scan latency in seconds (sampled, 1 window in 16 on the gateway).", telemetry.ExpBuckets(1e-7, 4, 10)),
 		scanDistance: reg.Histogram(metricScanDistance, "Hamming distance to the nearest group on non-exact scans.", telemetry.LinearBuckets(1, 1, 8)),
 		violations:   reg.CounterVec(metricViolations, "Detected violations by cause.", "cause", CauseNames()),
 		episodes:     reg.Counter(metricEpisodes, "Identification episodes concluded."),

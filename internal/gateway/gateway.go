@@ -278,6 +278,12 @@ func WithAdaptation(opts ...core.AdapterOption) Option {
 	}
 }
 
+// stageTimingPeriod is how many windows the gateway's detector processes
+// per timed one. Nothing on the gateway reads Result.Timing, and the
+// dice_scan_seconds histogram needs only a sample of windows, so the other
+// 15 read no clock: a live home still gets a sample every 16 minutes.
+const stageTimingPeriod = 16
+
 // New builds a gateway around a trained context with functional options.
 func New(ctx *core.Context, opts ...Option) (*Gateway, error) {
 	var o gwOptions
@@ -291,7 +297,9 @@ func New(ctx *core.Context, opts ...Option) (*Gateway, error) {
 	if tel == nil {
 		tel = telemetry.NewRegistry()
 	}
-	detOpts := append([]core.Option{core.WithConfig(o.cfg), core.WithTelemetry(tel)}, o.detOpts...)
+	detOpts := append([]core.Option{
+		core.WithConfig(o.cfg), core.WithTelemetry(tel), core.WithStageTimingPeriod(stageTimingPeriod),
+	}, o.detOpts...)
 	det, err := core.New(ctx, detOpts...)
 	if err != nil {
 		return nil, err
@@ -532,15 +540,22 @@ func (g *Gateway) IngestBatch(evts []event.Event) error {
 // with horizon and idx zero to refuse a batch that regresses within
 // itself before queueing it.
 func CheckOrder(evts []event.Event, horizon time.Duration, idx int, dur time.Duration) error {
+	// [lo, hi) spans window idx once an event has placed it there, so an
+	// event inside it needs no division. It starts empty: the caller's idx
+	// is not trusted to fit a multiplication.
+	var lo, hi time.Duration
 	for _, e := range evts {
 		if e.At < horizon {
 			return fmt.Errorf("gateway: event at %s regresses behind %s", e.At, horizon)
 		}
-		w := int(e.At / dur)
+		if lo <= e.At && e.At < hi {
+			continue
+		}
+		w, wlo, whi := window.Span(e.At, dur)
 		if w < idx {
 			return fmt.Errorf("gateway: event at %s regresses before window %d", e.At, idx)
 		}
-		idx = w
+		idx, lo, hi = w, wlo, whi
 	}
 	return nil
 }
@@ -557,6 +572,9 @@ func (g *Gateway) ingestLocked(e event.Event) error {
 		}
 	}
 	g.events++
+	// The clock moves first: a post-restore rebase shifts the stamps the
+	// downtime left stale, never the one this event is about to write.
+	g.observeClockLocked(e.At)
 	if g.lastSeen.set(e.Device, e.At) {
 		g.liveIDs = insertSortedID(g.liveIDs, e.Device)
 	}
@@ -564,7 +582,6 @@ func (g *Gateway) ingestLocked(e event.Event) error {
 		delete(g.dark, e.Device) // a dark device that reports again has recovered
 		g.met.dark.Set(int64(len(g.dark)))
 	}
-	g.observeClockLocked(e.At)
 	done, err := g.builder.Add(e)
 	if err != nil {
 		return err

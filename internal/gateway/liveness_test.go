@@ -131,3 +131,64 @@ func TestGatewayLivenessGhostIDs(t *testing.T) {
 		}
 	}
 }
+
+// TestGatewayRebaseKeepsFreshStamp: when the first live clock movement
+// after a restore is an ingest past the silence threshold, the rebase
+// shifts every stamp the downtime left stale by the gap, but the ingested
+// event's own stamp stays at the event's time rather than moving a gap
+// into the future.
+func TestGatewayRebaseKeepsFreshStamp(t *testing.T) {
+	h, ctx := trainedHome(t)
+	const threshold = 30 * time.Minute
+	opts := []Option{WithConfig(core.Config{}), WithLiveness(threshold), WithAlertBuffer(4096)}
+	gw, err := New(ctx, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	talker, other := h.Layout().BinaryID(0), h.Layout().BinaryID(1)
+	for m := 0; m < 10; m++ {
+		at := time.Duration(m)*time.Minute + 10*time.Second
+		if err := gw.IngestBatch([]event.Event{
+			{At: at, Device: talker, Value: 1},
+			{At: at, Device: other, Value: 1},
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	data, err := EncodeCheckpoint(gw.ExportCheckpoint())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cp, err := DecodeCheckpoint(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	restored, err := New(ctx, append(opts, WithCheckpoint(cp))...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := map[device.ID]time.Duration{}
+	for _, dl := range restored.Liveness() {
+		before[dl.Device] = dl.LastSeen
+	}
+
+	now := time.Duration(cp.StreamNowMS) * time.Millisecond
+	gap := 2 * time.Hour
+	at := now + gap
+	if err := restored.Ingest(event.Event{At: at, Device: talker, Value: 1}); err != nil {
+		t.Fatal(err)
+	}
+	got := map[device.ID]time.Duration{}
+	for _, dl := range restored.Liveness() {
+		got[dl.Device] = dl.LastSeen
+		if dl.Dark {
+			t.Errorf("device %d dark right after a rebased restart", dl.Device)
+		}
+	}
+	if got[talker] != at {
+		t.Errorf("ingested device %d last seen %s, want its event time %s", talker, got[talker], at)
+	}
+	if want := before[other] + gap; got[other] != want {
+		t.Errorf("silent device %d last seen %s, want %s rebased by the %s gap", other, got[other], want, gap)
+	}
+}

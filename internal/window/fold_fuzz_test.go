@@ -195,31 +195,69 @@ func sameState(a, b BuilderState) bool {
 	return true
 }
 
+// foldDurations are the window lengths FuzzBuilderFold runs under: the
+// paper's minute, one and seven nanoseconds (every event time a window
+// boundary or one off it), and lengths so long the stream clock holds only
+// a few windows, whose last window ends at or past math.MaxInt64.
+var foldDurations = []time.Duration{time.Minute, 1, 7, math.MaxInt64 / 3, math.MaxInt64/2 + 1, math.MaxInt64}
+
 // FuzzBuilderFold drives the builder and the map-keyed reference with the
 // same operations and requires identical windows and identical exported
-// state after every step. Each input byte triple is one operation: the
-// first byte picks the operation and the device, the second the value,
-// the third a signed time step of 7 s units (a negative step tests the
-// regression refusal). Device IDs cover every registered device, both
-// registry edges (-1 and reg.Len()) and far-out ints, since a ghost ID off
-// the wire can be any int. Emitted windows are recycled into the builder,
-// so its freelist is exercised too.
+// state after every step. durSel picks the window length from
+// foldDurations. Each input byte triple is one operation: the first byte
+// picks the operation and the device, the second the value, the third a
+// signed time step of 7/60 of a window (7 s for the minute; at least 1 ns)
+// — a negative step tests the regression refusal, or an out-of-order event
+// within one window. Operation 12 instead jumps to the absolute time k
+// windows plus a signed nanosecond offset (k the second byte, the offset
+// the third) and adds an event there: window boundaries, one nanosecond
+// either side of them, and, for the long lengths, times next to
+// math.MaxInt64 or wrapped negative. Device IDs cover every registered
+// device, both registry edges (-1 and reg.Len()) and far-out ints, since a
+// ghost ID off the wire can be any int. Emitted windows are recycled into
+// the builder, so its freelist is exercised too.
 func FuzzBuilderFold(f *testing.F) {
-	f.Add([]byte{0x00, 1, 1, 0x02, 1, 1, 0x02, 1, 1, 0x05, 1, 9, 0x01, 3, 0})
-	f.Add([]byte{0x06, 1, 1, 0x07, 1, 0, 0x08, 2, 3, 0x09, 1, 0, 0x0a, 1, 9, 0xd0, 0, 0})
-	f.Add([]byte{0x02, 1, 2, 0xf0, 0, 0, 0x02, 1, 1, 0x05, 1, 1, 0xe0, 0, 20, 0x02, 0, 0xfe})
-	f.Add([]byte{0x01, 0, 0, 0x04, 4, 1, 0x01, 3, 200, 0x05, 0, 0, 0x05, 5, 0, 0xf0, 0, 0})
-	f.Fuzz(func(t *testing.T, in []byte) {
+	f.Add(uint8(0), []byte{0x00, 1, 1, 0x02, 1, 1, 0x02, 1, 1, 0x05, 1, 9, 0x01, 3, 0})
+	f.Add(uint8(0), []byte{0x06, 1, 1, 0x07, 1, 0, 0x08, 2, 3, 0x09, 1, 0, 0x0a, 1, 9, 0xd0, 0, 0})
+	f.Add(uint8(0), []byte{0x02, 1, 2, 0xf0, 0, 0, 0x02, 1, 1, 0x05, 1, 1, 0xe0, 0, 20, 0x02, 0, 0xfe})
+	f.Add(uint8(0), []byte{0x01, 0, 0, 0x04, 4, 1, 0x01, 3, 200, 0x05, 0, 0, 0x05, 5, 0, 0xf0, 0, 0})
+	// Boundaries: k windows, one nanosecond before k+1, exactly k+1, then
+	// out of order inside window k+1 and back across into window k.
+	f.Add(uint8(0), []byte{0xc0, 2, 0, 0xc1, 3, 0xff, 0xc2, 3, 0, 0xc0, 3, 5, 0xc1, 3, 1, 0xc2, 3, 0xff, 0xe0, 0, 0})
+	// A checkpoint round trip between two events of one window, then the
+	// next window's first nanosecond.
+	f.Add(uint8(0), []byte{0xc0, 4, 7, 0xf0, 0, 0, 0xc1, 4, 9, 0xc2, 5, 0, 0xd0, 0, 0, 0xc0, 5, 1})
+	// Back into a window the builder has already left, by AdvanceTo or by
+	// Flush: refused, not folded.
+	f.Add(uint8(0), []byte{0xc0, 2, 0, 0xe0, 0, 9, 0x00, 1, 0xfe})
+	f.Add(uint8(0), []byte{0xc0, 2, 0, 0xd0, 0, 0, 0x00, 1, 0xff})
+	// Negative times: a jump below zero, a step below zero.
+	f.Add(uint8(0), []byte{0xc0, 0, 0xff, 0x00, 1, 1, 0x01, 1, 0xff, 0xe0, 0, 0xf6})
+	// One-nanosecond windows: every time is a boundary.
+	f.Add(uint8(1), []byte{0x00, 1, 1, 0x01, 1, 0, 0x02, 1, 1, 0x01, 1, 0xff, 0xc0, 9, 0, 0xc1, 9, 0, 0xe0, 0, 3})
+	f.Add(uint8(2), []byte{0xc0, 1, 0xff, 0xc1, 1, 0, 0xc2, 1, 6, 0xc0, 1, 0xff, 0xc1, 2, 0})
+	// Near math.MaxInt64: the last window that fits the clock, its final
+	// nanosecond, and a jump that wraps negative.
+	f.Add(uint8(3), []byte{0xc0, 2, 0, 0xc1, 3, 0xfe, 0xc2, 3, 0, 0xc0, 3, 1, 0xc1, 3, 2, 0xc2, 4, 0})
+	f.Add(uint8(4), []byte{0xc0, 0, 5, 0xc1, 1, 0xff, 0xc2, 1, 0, 0xc0, 1, 0x7f, 0xe0, 0, 1, 0xc1, 2, 0})
+	f.Add(uint8(5), []byte{0xc0, 0, 0, 0xc1, 1, 0xff, 0xc2, 1, 0, 0xc0, 1, 0xfe, 0xd0, 0, 0, 0xc1, 1, 0})
+	f.Fuzz(func(t *testing.T, durSel uint8, in []byte) {
 		reg, l := testDevices(t)
 		n := reg.Len()
 		ids := []device.ID{0, 1, 2, 3, 4, 5, -1, device.ID(n), 1 << 40, math.MaxInt, math.MinInt, -7}
 		values := []float64{0, 1, -1, 20.5, 1e9, math.Inf(1)}
-		b := NewBuilder(l, time.Minute)
-		r := newRefBuilder(l, time.Minute)
+		dur := foldDurations[int(durSel)%len(foldDurations)]
+		step := max(dur/60*7, 1)
+		b := NewBuilder(l, dur)
+		r := newRefBuilder(l, dur)
 		var at time.Duration
 		for i := 0; i+2 < len(in); i += 3 {
 			op, sel := in[i]>>4, int(in[i]&0x0f)
-			at += time.Duration(int8(in[i+2])) * 7 * time.Second
+			if op == 12 {
+				at = time.Duration(in[i+1])*dur + time.Duration(int8(in[i+2]))
+			} else {
+				at += time.Duration(int8(in[i+2])) * step
+			}
 			switch op {
 			case 13: // flush the open window
 				got, want := b.Flush(), r.flush()
@@ -237,13 +275,16 @@ func FuzzBuilderFold(f *testing.F) {
 					b.Recycle(o)
 				}
 			case 15: // checkpoint round trip through a fresh builder
-				nb := NewBuilder(l, time.Minute)
+				nb := NewBuilder(l, dur)
 				if err := nb.RestoreState(b.ExportState()); err != nil {
 					t.Fatalf("op %d: restore own state: %v", i/3, err)
 				}
 				b = nb
 			default:
 				e := event.Event{At: at, Device: ids[sel%len(ids)], Value: values[int(in[i+1])%len(values)]}
+				if op == 12 {
+					e.Value = 1
+				}
 				got, gerr := b.Add(e)
 				want, werr := r.add(e)
 				if (gerr == nil) != (werr == nil) || !sameObservations(got, want) {

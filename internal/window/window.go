@@ -7,6 +7,7 @@ package window
 
 import (
 	"fmt"
+	"math"
 	"time"
 
 	"repro/internal/device"
@@ -177,6 +178,12 @@ type Builder struct {
 	// backing arrays are reused for the next window, so a steady-state
 	// stream allocates no per-window state.
 	free []*Observation
+	// emitted backs the slice Add returns, reused by the next Add.
+	emitted []*Observation
+	// [lo, hi) is the stream-time span of the open window once an event
+	// has been placed in it by division; an event inside it folds without
+	// one. It is empty whenever the open window changes any other way.
+	lo, hi time.Duration
 }
 
 // NewBuilder returns a builder producing windows of the given duration.
@@ -206,16 +213,21 @@ func (b *Builder) Instrument(reg *telemetry.Registry) {
 	b.partial = reg.Counter("dice_window_partial_flush_total", "In-progress windows force-flushed before their duration elapsed.")
 }
 
-// Add folds one event in. Events must arrive in non-decreasing time order;
-// an event belonging to a later window than the current one causes the
-// current observation (and any skipped empty ones) to be emitted via the
-// returned slice. The caller owns the returned observations.
+// Add folds one event in. Events must arrive in non-decreasing window
+// order; an event belonging to a later window than the current one causes
+// the current observation (and any skipped empty ones) to be emitted via
+// the returned slice. The caller owns the returned observations, but the
+// slice itself belongs to the builder and is valid only until the next
+// Add.
 func (b *Builder) Add(e event.Event) ([]*Observation, error) {
-	idx := int(e.At / b.duration)
+	if b.lo <= e.At && e.At < b.hi {
+		b.fold(e)
+		return nil, nil
+	}
+	idx, lo, hi := Span(e.At, b.duration)
 	if e.At < 0 {
 		return nil, fmt.Errorf("window: negative event time %s", e.At)
 	}
-	var out []*Observation
 	if b.cur == nil {
 		if idx < b.floor {
 			return nil, fmt.Errorf("window: event at %s regresses before window %d", e.At, b.floor)
@@ -225,13 +237,36 @@ func (b *Builder) Add(e event.Event) ([]*Observation, error) {
 	if idx < b.cur.Index {
 		return nil, fmt.Errorf("window: event at %s regresses before window %d", e.At, b.cur.Index)
 	}
+	clear(b.emitted) // the last call's windows are the caller's now
+	out := b.emitted[:0]
 	for idx > b.cur.Index {
 		out = append(out, b.cur)
 		b.built.Inc()
 		b.startWindow(b.cur.Index + 1)
 	}
+	b.emitted = out
+	b.lo, b.hi = lo, hi
 	b.fold(e)
 	return out, nil
+}
+
+// Span returns the index of the window of length dur that time t falls
+// in, int(t / dur), and that window's stream-time span [lo, hi). Only a
+// time t >= 0 gets a span; a negative one gets the empty span, since
+// division truncates toward zero there and window idx would not cover
+// [idx*dur, (idx+1)*dur). hi saturates at math.MaxInt64 for the last
+// window that fits the clock.
+func Span(t, dur time.Duration) (idx int, lo, hi time.Duration) {
+	idx = int(t / dur)
+	if t < 0 {
+		return idx, 0, 0
+	}
+	lo = time.Duration(idx) * dur
+	hi = lo + dur
+	if hi < lo {
+		hi = math.MaxInt64
+	}
+	return idx, lo, hi
 }
 
 // Flush emits the in-progress observation, if any, and resets the builder.
@@ -239,6 +274,7 @@ func (b *Builder) Add(e event.Event) ([]*Observation, error) {
 func (b *Builder) Flush() *Observation {
 	o := b.cur
 	b.cur = nil
+	b.lo, b.hi = 0, 0
 	clear(b.actSeen)
 	if o != nil {
 		b.floor = o.Index + 1
@@ -316,6 +352,7 @@ func (b *Builder) RestoreState(st BuilderState) error {
 	}
 	b.floor = st.Floor
 	b.cur = nil
+	b.lo, b.hi = 0, 0
 	if st.Cur != nil {
 		b.cur = st.Cur.Clone()
 	}
@@ -330,6 +367,7 @@ func (b *Builder) RestoreState(st BuilderState) error {
 
 func (b *Builder) startWindow(idx int) {
 	b.cur = b.newObservation(idx)
+	b.lo, b.hi = 0, 0
 	b.floor = idx
 	clear(b.actSeen)
 }

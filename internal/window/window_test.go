@@ -433,3 +433,32 @@ func TestBuilderSteadyStateNoObservationAlloc(t *testing.T) {
 		t.Fatalf("steady-state window turnover allocates %.1f times per window, want <= 1", allocs)
 	}
 }
+
+// TestBuilderAddAllocFree: Add over a stream that closes a window every 18
+// events, with every emitted window recycled, allocates nothing — neither
+// observation state nor the slice that hands the closed window back.
+func TestBuilderAddAllocFree(t *testing.T) {
+	_, l := testDevices(t)
+	b := NewBuilder(l, time.Minute)
+	devs := []device.ID{0, 1, 2, 3, 4, 5}
+	base := time.Duration(0)
+	window := func() {
+		for j := 0; j < 18; j++ {
+			e := event.Event{At: base + time.Duration(j)*3*time.Second, Device: devs[j%len(devs)], Value: float64(j%3 + 1)}
+			emitted, err := b.Add(e)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, o := range emitted {
+				b.Recycle(o)
+			}
+		}
+		base += time.Minute
+	}
+	for i := 0; i < 4; i++ { // fill the freelist and the emitted slice
+		window()
+	}
+	if allocs := testing.AllocsPerRun(200, window); allocs != 0 {
+		t.Fatalf("Add allocates %.2f times per closed window, want 0", allocs)
+	}
+}
